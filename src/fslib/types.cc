@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace linefs::fslib {
 
 namespace {
@@ -34,9 +38,48 @@ const Crc32cTable& Table() {
   return table;
 }
 
+#if defined(__x86_64__)
+// SSE4.2 `crc32` computes the same reflected Castagnoli CRC as the table
+// loop, 8 bytes per instruction. Compiled for SSE4.2 regardless of the
+// build's -march and only called after the run-time CPU check below.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data, size_t len,
+                                                        uint32_t seed) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t crc = ~seed;
+  while (len >= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    len -= 8;
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (size_t i = 0; i < len; ++i) {
+    crc32 = _mm_crc32_u8(crc32, p[i]);
+  }
+  return ~crc32;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+Crc32cFn SelectCrc32c() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    return Crc32cSse42;
+  }
+#endif
+  return Crc32cSoftware;
+}
+
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+  static const Crc32cFn impl = SelectCrc32c();
+  return impl(data, len, seed);
+}
+
+uint32_t Crc32cSoftware(const void* data, size_t len, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
   const Crc32cTable& table = Table();

@@ -51,8 +51,14 @@ struct FileAttr {
 
 inline uint64_t BlocksFor(uint64_t bytes) { return (bytes + kBlockSize - 1) >> kBlockShift; }
 
-// CRC32C (software, Castagnoli polynomial) used for log entry integrity.
+// CRC32C (Castagnoli polynomial) used for log entry and chunk integrity.
+// Uses the SSE4.2 `crc32` instruction when the CPU has it (checked once at
+// run time on x86-64), else Crc32cSoftware; both give identical values.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
+
+// Portable slicing-by-8 CRC32C: the path on other CPUs and the reference
+// the hardware path is tested against.
+uint32_t Crc32cSoftware(const void* data, size_t len, uint32_t seed = 0);
 
 }  // namespace linefs::fslib
 

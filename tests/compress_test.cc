@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "src/compress/lzw.h"
@@ -101,6 +104,66 @@ TEST(Lzw, CorruptHeaderRejected) {
   std::vector<uint8_t> input(1000, 7);
   std::vector<uint8_t> compressed = LzwCompress(input);
   compressed[0] ^= 0xFF;
+  EXPECT_FALSE(LzwDecompress(compressed).ok());
+}
+
+// Hand-built stream: the "LZW1" header claiming `original_size`, then
+// `codes` packed LSB-first at the given widths.
+std::vector<uint8_t> RawStream(uint32_t original_size,
+                               std::initializer_list<std::pair<uint32_t, uint32_t>> codes) {
+  std::vector<uint8_t> out(8);
+  uint32_t header[2] = {0x4C5A5731, original_size};
+  std::memcpy(out.data(), header, sizeof(header));
+  uint64_t acc = 0;
+  uint32_t filled = 0;
+  for (auto [code, bits] : codes) {
+    acc |= static_cast<uint64_t>(code) << filled;
+    filled += bits;
+    while (filled >= 8) {
+      out.push_back(static_cast<uint8_t>(acc));
+      acc >>= 8;
+      filled -= 8;
+    }
+  }
+  if (filled > 0) {
+    out.push_back(static_cast<uint8_t>(acc));
+  }
+  return out;
+}
+
+TEST(Lzw, RawStreamHelperMatchesEncoder) {
+  // "aaa" encodes as 'a' then the KwKwK code 257 ("aa").
+  std::vector<uint8_t> input{'a', 'a', 'a'};
+  EXPECT_EQ(RawStream(3, {{'a', 9}, {257, 9}}), LzwCompress(input));
+  EXPECT_EQ(RoundTrip(input), input);
+}
+
+TEST(Lzw, OutputLongerThanHeaderRejected) {
+  // 'a' then KwKwK 257 decodes to "aaa": one byte more than the header's 2.
+  EXPECT_FALSE(LzwDecompress(RawStream(2, {{'a', 9}, {257, 9}})).ok());
+}
+
+TEST(Lzw, CodeBeyondNextDictionarySlotRejected) {
+  // After 'a' the next free slot is 257; 258 names nothing yet.
+  EXPECT_FALSE(LzwDecompress(RawStream(3, {{'a', 9}, {258, 9}})).ok());
+}
+
+TEST(Lzw, FirstCodeAfterResetMustBeLiteral) {
+  EXPECT_FALSE(LzwDecompress(RawStream(10, {{'a', 9}, {256, 9}, {300, 9}})).ok());
+  EXPECT_FALSE(LzwDecompress(RawStream(10, {{257, 9}})).ok());
+}
+
+TEST(Lzw, HeaderSizeBeyondStreamCapacityRejected) {
+  // Nine bytes cannot hold a single 9-bit code, let alone 4 GiB of output;
+  // the decoder must fail before reserving the claimed size.
+  std::vector<uint8_t> stream = RawStream(0xFFFFFFFFu, {});
+  stream.push_back('a');
+  ASSERT_EQ(stream.size(), 9u);
+  EXPECT_FALSE(LzwDecompress(stream).ok());
+  // A real stream whose header overstates its size fails the same way.
+  std::vector<uint8_t> compressed = LzwCompress(std::vector<uint8_t>(4096, 1));
+  uint32_t huge = 0xFFFFFFF0u;
+  std::memcpy(compressed.data() + 4, &huge, sizeof(huge));
   EXPECT_FALSE(LzwDecompress(compressed).ok());
 }
 

@@ -2,7 +2,8 @@
 //  - extent lists vs a reference block map under random insert/truncate mixes
 //  - coalescing equivalence: publishing with and without coalescing yields an
 //    identical final file system
-//  - LZW round trip across data distributions
+//  - LZW: byte-identical to the reference codec, exact round trip, golden
+//    wire-format digest
 //  - CPU pool work conservation
 //  - end-to-end replica convergence under random op sequences (all modes)
 
@@ -23,6 +24,8 @@
 #include "src/pmem/region.h"
 #include "src/sim/cpu.h"
 #include "src/sim/random.h"
+#include "src/workloads/payload.h"
+#include "tests/lzw_reference.h"
 
 namespace linefs {
 namespace {
@@ -185,40 +188,111 @@ TEST_P(CoalescePropertyTest, PublishingWithAndWithoutCoalescingIsEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalescePropertyTest, ::testing::Range<uint64_t>(10, 18));
 
-// --- LZW round trip across distributions ------------------------------------------------
+// --- LZW: byte-identical to the reference codec, exact round trip ------------------------
 
-class LzwPropertyTest : public ::testing::TestWithParam<int> {};
+enum LzwKind { kUniform, kRuns, kLowEntropy, kPeriodic, kZeroBlocks, kMixedPayload, kLzwKinds };
 
-TEST_P(LzwPropertyTest, RoundTripsAcrossDistributions) {
-  int kind = GetParam();
-  sim::Rng rng(kind * 7919 + 1);
-  std::vector<uint8_t> input(200000 + rng.Uniform(200000));
+std::vector<uint8_t> LzwInput(LzwKind kind, size_t size, sim::Rng& rng) {
+  if (kind == kMixedPayload) {  // perfbench's payload recipe.
+    return workloads::MixedPayload(size, rng.Next());
+  }
+  std::vector<uint8_t> input(size);
   for (size_t i = 0; i < input.size(); ++i) {
-    switch (kind % 5) {
-      case 0:  // uniform random
+    switch (kind) {
+      case kUniform:
         input[i] = static_cast<uint8_t>(rng.Next());
         break;
-      case 1:  // runs
+      case kRuns:
         input[i] = static_cast<uint8_t>((i / 977) % 7);
         break;
-      case 2:  // low-entropy alphabet
+      case kLowEntropy:
         input[i] = static_cast<uint8_t>(rng.Uniform(4));
         break;
-      case 3:  // periodic
+      case kPeriodic:
         input[i] = static_cast<uint8_t>(i % 251);
         break;
-      case 4:  // mixed zero blocks + noise
+      default:  // kZeroBlocks: zero blocks + noise.
         input[i] = ((i / 512) % 3 == 0) ? 0 : static_cast<uint8_t>(rng.Next());
         break;
     }
   }
-  std::vector<uint8_t> compressed = compress::LzwCompress(input);
-  Result<std::vector<uint8_t>> restored = compress::LzwDecompress(compressed);
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(*restored, input);
+  return input;
 }
 
-INSTANTIATE_TEST_SUITE_P(Distributions, LzwPropertyTest, ::testing::Range(0, 10));
+// Case `index`: 0..9 cycle the five synthetic distributions and 10..11 use
+// the mixed payload, at a seeded 200..400 KB size; the rest are edge sizes
+// (empty, one byte, a 16 KB chunk plus a partial block, and >4 MB of random
+// bytes, which resets the dictionary many times).
+constexpr int kLzwSizedCases = 2 * kLzwKinds;
+constexpr int kLzwCases = kLzwSizedCases + 6;
+
+std::vector<uint8_t> LzwCaseInput(int index) {
+  sim::Rng rng(static_cast<uint64_t>(index) * 7919 + 1);
+  if (index < kLzwSizedCases) {
+    // Cases 0..9 keep the original sweep's kinds (index % 5) and bytes.
+    LzwKind kind = static_cast<LzwKind>(index < 10 ? index % 5 : kMixedPayload);
+    size_t size = 200000 + rng.Uniform(200000);
+    return LzwInput(kind, size, rng);
+  }
+  constexpr size_t kChunk = (16 << 10) + 64;
+  switch (index - kLzwSizedCases) {
+    case 0:
+      return {};
+    case 1:
+      return {0x5A};
+    case 2:
+      return LzwInput(kMixedPayload, kChunk, rng);
+    case 3:
+      return LzwInput(kUniform, kChunk, rng);
+    case 4:
+      return LzwInput(kZeroBlocks, kChunk, rng);
+    default:
+      return LzwInput(kUniform, (4 << 20) + 123, rng);
+  }
+}
+
+class LzwPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LzwPropertyTest, RoundTripsAcrossDistributions) {
+  std::vector<uint8_t> input = LzwCaseInput(GetParam());
+  std::vector<uint8_t> compressed = compress::LzwCompress(input);
+  Result<std::vector<uint8_t>> restored = compress::LzwDecompress(compressed);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE(*restored == input) << "round trip differs; input " << input.size() << " bytes";
+}
+
+TEST_P(LzwPropertyTest, MatchesReferenceByteForByte) {
+  std::vector<uint8_t> input = LzwCaseInput(GetParam());
+  std::vector<uint8_t> compressed = compress::LzwCompress(input);
+  std::vector<uint8_t> expected = compress::ref::RefLzwCompress(input);
+  ASSERT_EQ(compressed.size(), expected.size());
+  ASSERT_TRUE(compressed == expected) << "compressed bytes differ from the reference";
+  // The reference decoder restores the new encoder's bytes too.
+  Result<std::vector<uint8_t>> restored = compress::ref::RefLzwDecompress(compressed);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE(*restored == input);
+}
+
+INSTANTIATE_TEST_SUITE_P(Distributions, LzwPropertyTest, ::testing::Range(0, kLzwCases));
+
+// Golden digest of the wire format: FNV-1a over the compressed bytes of a
+// fixed seeded corpus. It pins the format independently of the reference,
+// so the two cannot drift together.
+TEST_F(LzwPropertyTest, WireFormatGoldenDigest) {
+  uint64_t digest = 14695981039346656037ULL;
+  sim::Rng rng(20211026);
+  for (int kind = 0; kind < kLzwKinds; ++kind) {
+    for (size_t size : {size_t{0}, size_t{1}, size_t{4096}, size_t{(16 << 10) + 64},
+                        size_t{300000}}) {
+      std::vector<uint8_t> compressed =
+          compress::LzwCompress(LzwInput(static_cast<LzwKind>(kind), size, rng));
+      for (uint8_t b : compressed) {
+        digest = (digest ^ b) * 1099511628211ULL;
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x4ED2B99A780CF93FULL) << std::hex << digest;
+}
 
 // --- CPU pool work conservation ------------------------------------------------------------
 
