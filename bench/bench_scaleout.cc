@@ -167,13 +167,10 @@ Row RunPoint(const std::string& label, int num_shards, double arrival_rate) {
 
 // Offered rate for the shard sweep: far enough past one arbiter's capacity
 // that delivered throughput measures the plane, not the arrival process.
-// LINEFS_SCALEOUT_RATE overrides for capacity probing.
+// LINEFS_SCALEOUT_RATE (ops/s, at least 1) overrides for capacity probing.
 double SaturatingRate() {
-  if (const char* v = std::getenv("LINEFS_SCALEOUT_RATE")) {
-    double rate = std::atof(v);
-    if (rate > 0) {
-      return rate;
-    }
+  if (std::optional<double> rate = EnvKnob<double>("LINEFS_SCALEOUT_RATE", 1.0)) {
+    return *rate;
   }
   // A single serial arbiter root delivers ~90k grants-bound ops/s in this
   // configuration; 2-3x past that keeps the 1-shard point firmly overloaded

@@ -167,10 +167,7 @@ void RunSweep() {
     return;
   }
 
-  uint64_t seeds = 8;
-  if (const char* env = std::getenv("LINEFS_TORTURE_SEEDS")) {
-    seeds = std::strtoull(env, nullptr, 10);
-  }
+  uint64_t seeds = EnvKnob<uint64_t>("LINEFS_TORTURE_SEEDS").value_or(8);
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     fault::ScheduleOptions sched;
     sched.num_nodes = 3;

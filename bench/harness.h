@@ -5,12 +5,19 @@
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -94,6 +101,55 @@ class BenchReport {
   std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
 };
 
+// Strict parse of a numeric LINEFS_* knob: the whole of `text` must be one
+// plain decimal number (no sign, whitespace or trailing junk) in [lo, hi].
+template <typename T>
+Result<T> ParseKnob(std::string_view text, T lo = 0, T hi = std::numeric_limits<T>::max()) {
+  if (text.empty()) {
+    return Status::Error(ErrorCode::kInvalid, "empty value");
+  }
+  if (text.front() == '-') {
+    return Status::Error(ErrorCode::kInvalid, "negative value");
+  }
+  T value{};
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::Error(ErrorCode::kInvalid, "out of range");
+  }
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return Status::Error(ErrorCode::kInvalid, "not a number");
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return Status::Error(ErrorCode::kInvalid, "not a finite number");
+    }
+  }
+  if (value < lo) {
+    return Status::Error(ErrorCode::kInvalid, "below minimum " + std::to_string(lo));
+  }
+  if (value > hi) {
+    return Status::Error(ErrorCode::kInvalid, "above maximum " + std::to_string(hi));
+  }
+  return value;
+}
+
+// Reads knob `name` from the environment: nullopt when unset; a malformed
+// value (see ParseKnob) is fatal, with a message naming the knob and exit 2.
+template <typename T>
+std::optional<T> EnvKnob(const char* name, T lo = 0, T hi = std::numeric_limits<T>::max()) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) {
+    return std::nullopt;
+  }
+  Result<T> value = ParseKnob<T>(text, lo, hi);
+  if (!value.ok()) {
+    std::fprintf(stderr, "bench: bad %s='%s': %s\n", name, text,
+                 value.status().message().c_str());
+    std::exit(2);
+  }
+  return *value;
+}
+
 // Benchmark-scale configuration: payload bytes elided (simulated time is
 // unaffected), capacities scaled (see DESIGN.md).
 inline core::DfsConfig BenchConfig(core::DfsMode mode, bool materialize = false) {
@@ -106,8 +162,10 @@ inline core::DfsConfig BenchConfig(core::DfsMode mode, bool materialize = false)
   config.chunk_size = 4ULL << 20;
   config.materialize_data = materialize;
   // Telemetry window override (microseconds; 0 disables the timeline).
-  if (const char* window = std::getenv("LINEFS_TIMELINE_WINDOW_US")) {
-    config.timeline_window = static_cast<sim::Time>(std::atoll(window)) * sim::kMicrosecond;
+  constexpr uint64_t kMaxWindowUs = std::numeric_limits<sim::Time>::max() / sim::kMicrosecond;
+  if (std::optional<uint64_t> window_us =
+          EnvKnob<uint64_t>("LINEFS_TIMELINE_WINDOW_US", 0, kMaxWindowUs)) {
+    config.timeline_window = static_cast<sim::Time>(*window_us) * sim::kMicrosecond;
   }
   return config;
 }

@@ -8,10 +8,27 @@
 // restoring the most recent durable image.
 //
 // Backing storage is allocated lazily in 2MB slabs so multi-GB simulated
-// regions only consume host memory where touched. Untouched bytes read as 0.
-// Slabs are recycled through a process-wide free pool: benchmarks construct
-// hundreds of Regions back to back, and reusing slabs avoids re-paying the
-// mmap/munmap + page-fault cost on every experiment.
+// regions only consume host memory where touched. Slabs are recycled through
+// a process-wide free pool: benchmarks construct hundreds of Regions back to
+// back, and reusing slabs avoids re-paying the mmap/munmap + page-fault cost
+// on every experiment.
+//
+// Never-written bytes read as 0, but slabs are never zeroed up front. Each
+// slab carries a validity bitmap with one bit per 64-byte line (PM's own
+// persistence granularity): a set bit means the line's bytes are defined.
+// The simulator writes sparsely — 64-byte log headers and extent blocks
+// scattered over multi-MB slabs — so zeroing whole slabs on first touch
+// (fresh or recycled) would spend most of a write-heavy run memsetting bytes
+// that are never read back. Instead:
+//   - a slab (fresh or from the pool) starts with an all-clear bitmap, so
+//     acquiring one clears 4KB of bits instead of 2MB of bytes;
+//   - a write zeroes only a partially covered first/last line that is still
+//     invalid, copies its bytes, and marks the covered lines valid;
+//   - a read copies valid runs and zero-fills invalid ones. A read inside one
+//     64-line bitmap word (every small inode/dirent/extent-header read) takes
+//     a fast path: one masked test, then one memcpy or one memset.
+// Crash() needs nothing special: undo capture reads never-written lines as
+// zeros, so a rollback writes zeros back.
 //
 // Undo capture is the hottest path in the whole simulator (every simulated
 // log append lands here), so it is allocation-free in steady state: old data
@@ -90,6 +107,16 @@ class Region {
  private:
   static constexpr uint64_t kSlabShift = 21;  // 2 MB slabs.
   static constexpr uint64_t kSlabSize = 1ULL << kSlabShift;
+  static constexpr uint64_t kLineShift = 6;  // 64-byte validity lines.
+  static constexpr uint64_t kLineSize = 1ULL << kLineShift;
+  static constexpr uint64_t kLinesPerSlab = kSlabSize >> kLineShift;
+
+  // Backing bytes plus their line-validity bitmap; only lines whose bit is set
+  // hold defined bytes. Allocated uninitialised, recycled through the pool.
+  struct Slab {
+    uint64_t valid[kLinesPerSlab / 64];
+    uint8_t bytes[kSlabSize];
+  };
 
   // One captured write: `arena_off/len` locate the old bytes in undo_arena_.
   struct UndoEntry {
@@ -99,13 +126,16 @@ class Region {
     bool dead = false;
   };
 
-  uint8_t* SlabFor(uint64_t offset, bool create);
+  static std::vector<std::unique_ptr<Slab>>& SlabPool();
+  Slab& SlabFor(uint64_t offset);
   void CopyIn(uint64_t offset, const void* src, uint64_t n);
   void CopyOut(uint64_t offset, void* dst, uint64_t n) const;
+  // Copies slab bytes [off, off+n) to `dst`, zero-filling never-written lines.
+  static void CopyRuns(const Slab& slab, uint64_t off, uint8_t* dst, uint64_t n);
   void MaybeCompact();
 
   uint64_t size_;
-  std::vector<std::unique_ptr<uint8_t[]>> slabs_;
+  std::vector<std::unique_ptr<Slab>> slabs_;
   // Append-ordered undo records (Crash unwinds newest first) + their data.
   std::vector<UndoEntry> undo_log_;
   std::vector<uint8_t> undo_arena_;

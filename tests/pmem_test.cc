@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -112,6 +114,134 @@ TEST(Region, CopyMovesData) {
   char out[sizeof(msg)] = {};
   region.Read(5000, out, sizeof(msg));
   EXPECT_STREQ(out, msg);
+}
+
+// Never-written bytes must read 0 even though slabs are never zeroed up front:
+// the process-wide pool hands back slabs holding an earlier Region's bytes.
+// Each test below first dirties pooled slabs so stale data would show.
+constexpr uint64_t kMiB = 1 << 20;
+constexpr uint64_t kSlab = 2 * kMiB;
+
+void DirtySlabPool(uint64_t size) {
+  Region dirty(size);
+  std::vector<uint8_t> junk(size, 0xA5);
+  dirty.Write(0, junk.data(), junk.size());
+  dirty.PersistAll();
+}
+
+bool AllZero(const std::vector<uint8_t>& v, size_t from = 0, size_t to = SIZE_MAX) {
+  to = std::min(to, v.size());
+  for (size_t i = from; i < to; ++i) {
+    if (v[i] != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Region, RegionAfterDirtyRegionReadsZero) {
+  DirtySlabPool(8 * kMiB);
+  Region region(8 * kMiB);
+  std::vector<uint8_t> out(8 * kMiB, 0xFF);
+  region.Read(0, out.data(), out.size());
+  EXPECT_TRUE(AllZero(out));
+  // A write to one slab leaves its never-written neighbours zero.
+  uint8_t b = 7;
+  region.Write(3 * kMiB + 4096, &b, 1);
+  region.Read(2 * kMiB, out.data(), 2 * kMiB);
+  EXPECT_EQ(out[kMiB + 4096], 7);
+  out[kMiB + 4096] = 0;
+  EXPECT_TRUE(AllZero(out, 0, 2 * kMiB));
+}
+
+TEST(Region, PartialLineWritesLeaveRestOfLineZero) {
+  struct Case {
+    uint64_t at;  // Offset within a 64-byte line.
+    uint64_t len;
+  };
+  for (Case c : {Case{0, 1}, Case{63, 1}, Case{0, 63}, Case{1, 63}, Case{17, 30}}) {
+    DirtySlabPool(4 * kMiB);
+    Region region(4 * kMiB);
+    uint64_t line = 64 * 1001;
+    std::vector<uint8_t> data(c.len, 0x3C);
+    region.Write(line + c.at, data.data(), data.size());
+    // The written line plus both neighbours.
+    std::vector<uint8_t> out(3 * 64, 0xFF);
+    region.Read(line - 64, out.data(), out.size());
+    for (uint64_t i = 0; i < out.size(); ++i) {
+      bool written = i >= 64 + c.at && i < 64 + c.at + c.len;
+      ASSERT_EQ(out[i], written ? 0x3C : 0) << "at=" << c.at << " len=" << c.len << " i=" << i;
+    }
+  }
+}
+
+TEST(Region, ReadSpanningWrittenAndUnwrittenLinesAcrossSlabs) {
+  DirtySlabPool(8 * kMiB);
+  Region region(8 * kMiB);
+  std::vector<uint8_t> shadow(8 * kMiB, 0);
+  auto write = [&](uint64_t off, uint64_t len, uint8_t seed) {
+    std::vector<uint8_t> data(len);
+    for (uint64_t i = 0; i < len; ++i) {
+      data[i] = static_cast<uint8_t>(seed + i * 13);
+    }
+    region.Write(off, data.data(), len);
+    std::copy(data.begin(), data.end(), shadow.begin() + off);
+  };
+  write(kSlab - 4096, 100, 1);       // Partial lines, first slab.
+  write(kSlab - 640, 64 * 3, 2);     // Whole lines.
+  write(kSlab - 5, 10, 3);           // Straddles the slab boundary.
+  write(kSlab + 64 * 70, 1, 4);      // Next bitmap word, second slab.
+  write(kSlab + 64 * 200 + 9, 700, 5);
+  write(2 * kSlab + 3, 1, 6);        // Third slab.
+  uint64_t from = kSlab - 8192;
+  uint64_t len = kSlab + 16384;      // Ends inside the third slab.
+  std::vector<uint8_t> out(len, 0xFF);
+  region.Read(from, out.data(), len);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), shadow.begin() + from));
+  // Small reads inside one bitmap word: all valid, all invalid, mixed.
+  for (uint64_t off : {kSlab - 640, kSlab - 4096 - 64, kSlab - 4096 + 90, kSlab - 8}) {
+    uint8_t small[24];
+    region.Read(off, small, sizeof(small));
+    EXPECT_TRUE(std::equal(small, small + sizeof(small), shadow.begin() + off)) << off;
+  }
+}
+
+TEST(Region, CrashRollsBackWriteToNeverWrittenLinesToZero) {
+  DirtySlabPool(4 * kMiB);
+  Region region(4 * kMiB);
+  uint32_t kept = 0x11223344;
+  region.Write(0, &kept, sizeof(kept));
+  region.Persist(0, sizeof(kept));
+  std::vector<uint8_t> data(5000, 0x77);
+  region.Write(kSlab - 1000, data.data(), data.size());  // Fresh lines, two slabs.
+  region.Write(70, data.data(), 10);                     // Fresh line beside a durable one.
+  region.Crash();
+  std::vector<uint8_t> out(8192, 0xFF);
+  region.Read(kSlab - 4096, out.data(), out.size());
+  EXPECT_TRUE(AllZero(out));
+  region.Read(0, out.data(), 256);
+  EXPECT_EQ(std::memcmp(out.data(), &kept, sizeof(kept)), 0);
+  EXPECT_TRUE(AllZero(out, sizeof(kept), 256));
+}
+
+TEST(Region, FillAndCopyOnFreshLines) {
+  DirtySlabPool(4 * kMiB);
+  Region region(4 * kMiB);
+  region.Fill(kSlab - 30, 0xEE, 70);  // Partial lines either side of a slab boundary.
+  std::vector<uint8_t> out(256, 0xFF);
+  region.Read(kSlab - 128, out.data(), out.size());
+  for (uint64_t i = 0; i < out.size(); ++i) {
+    bool filled = i >= 98 && i < 168;
+    ASSERT_EQ(out[i], filled ? 0xEE : 0) << i;
+  }
+  // Copy from a range mixing filled and never-written bytes onto fresh lines:
+  // the never-written source bytes arrive as zeros.
+  region.Copy(3 * kMiB + 5, kSlab - 128, 256);
+  std::vector<uint8_t> copied(256 + 64, 0xFF);
+  region.Read(3 * kMiB - 27, copied.data(), copied.size());
+  EXPECT_TRUE(AllZero(copied, 0, 32));
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), copied.begin() + 32));
+  EXPECT_TRUE(AllZero(copied, 32 + 256));
 }
 
 TEST(Allocator, AllocatesDistinctBlocks) {

@@ -115,6 +115,57 @@ TEST_P(PosixTest, WriteAdvancesCursorReadFollows) {
   });
 }
 
+sim::Task<> OpenMany(LibFs* fs, int base, bool* done) {
+  for (int i = 0; i < 64; ++i) {
+    Result<int> fd = co_await fs->Open("/g" + std::to_string(base + i),
+                                       fslib::kOpenCreate | fslib::kOpenWrite);
+    EXPECT_TRUE(fd.ok());
+  }
+  *done = true;
+}
+
+// A Write/Read suspends (lease, op lock, log appends, CPU and PM charges)
+// while another coroutine opens enough files to reallocate the descriptor
+// table; the operation must still advance its own descriptor's cursor.
+TEST_P(PosixTest, OpensDuringWriteAndReadKeepCursor) {
+  Run([&]() -> sim::Task<> {
+    Result<int> fd =
+        co_await fs_->Open("/grow", fslib::kOpenCreate | fslib::kOpenWrite | fslib::kOpenRead);
+    CO_ASSERT_OK(fd);
+    std::vector<uint8_t> body(1 << 20);
+    for (size_t i = 0; i < body.size(); ++i) {
+      body[i] = static_cast<uint8_t>(i * 7);
+    }
+    bool opened = false;
+    engine_.Spawn(OpenMany(fs_, 0, &opened));
+    CO_ASSERT_OK((co_await fs_->Write(*fd, body)));
+    CO_ASSERT_OK((co_await fs_->Write(*fd, Bytes("tail"))));
+    while (!opened) {
+      co_await engine_.SleepFor(sim::kMillisecond);
+    }
+    Result<fslib::FileAttr> st = co_await fs_->Fstat(*fd);
+    CO_ASSERT_OK(st);
+    EXPECT_EQ(st->size, body.size() + 4);
+
+    fs_->Seek(*fd, 0);
+    opened = false;
+    engine_.Spawn(OpenMany(fs_, 64, &opened));
+    std::vector<uint8_t> out(body.size());
+    Result<uint64_t> r = co_await fs_->Read(*fd, out);
+    CO_ASSERT_OK(r);
+    EXPECT_EQ(*r, body.size());
+    EXPECT_TRUE(out == body);
+    std::vector<uint8_t> tail(4);
+    r = co_await fs_->Read(*fd, tail);
+    CO_ASSERT_OK(r);
+    EXPECT_EQ(std::string(tail.begin(), tail.end()), "tail");
+    while (!opened) {
+      co_await engine_.SleepFor(sim::kMillisecond);
+    }
+    CO_ASSERT_OK(co_await fs_->Fsync(*fd));
+  });
+}
+
 TEST_P(PosixTest, AppendModeStartsAtEof) {
   Run([&]() -> sim::Task<> {
     Result<int> fd = co_await fs_->Open("/app", fslib::kOpenCreate | fslib::kOpenWrite);
