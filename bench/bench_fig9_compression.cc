@@ -29,6 +29,10 @@ struct Row {
   std::vector<double> bw_series;  // Primary egress GB/s per 500ms bucket.
 };
 std::map<int, Row> g_rows;  // -1 = Assise; 40/60/80 = LineFS-x%.
+// Correctness checks that failed across all runs: an unsorted output, or a
+// replica that saw a checksum mismatch or dropped an undecodable chunk. Any
+// failure makes the binary exit 1 once the report is written.
+int g_failed_checks = 0;
 
 Row RunOne(bool compression, double zero_fraction) {
   core::DfsConfig config =
@@ -55,12 +59,22 @@ Row RunOne(bool compression, double zero_fraction) {
     row->runtime_s = sim::ToSeconds(result.elapsed);
     if (!result.verified) {
       std::fprintf(stderr, "fig9: sort output NOT sorted!\n");
+      ++g_failed_checks;
     }
   }(clients, options, &row));
   exp.RunAll(std::move(tasks));
   exp.Drain(5 * sim::kSecond);
 
   if (compression) {
+    for (int node = 1; node < exp.cluster().num_nodes(); ++node) {
+      core::NicFs::StatsSnapshot replica = exp.cluster().nicfs(node)->stats();
+      if (replica.checksum_mismatches > 0 || replica.repl_decode_drops > 0) {
+        std::fprintf(stderr, "fig9: replica %d saw %llu checksum mismatches, %llu decode drops\n",
+                     node, static_cast<unsigned long long>(replica.checksum_mismatches),
+                     static_cast<unsigned long long>(replica.repl_decode_drops));
+        ++g_failed_checks;
+      }
+    }
     core::NicFs::StatsSnapshot stats = exp.cluster().nicfs(0)->stats();
     row.wire_gb = static_cast<double>(stats.wire_bytes) / 1e9;
     row.saved_pct = stats.raw_repl_bytes > 0
@@ -141,5 +155,11 @@ int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   linefs::bench::PrintTable();
-  return linefs::bench::WriteBenchReport("fig9_compression");
+  int rc = linefs::bench::WriteBenchReport("fig9_compression");
+  if (linefs::bench::g_failed_checks > 0) {
+    std::fprintf(stderr, "fig9: %d correctness check(s) failed\n",
+                 linefs::bench::g_failed_checks);
+    return 1;
+  }
+  return rc;
 }

@@ -95,7 +95,8 @@ int main() {
   while (!done && engine.RunOne()) {
   }
   core::NicFs::StatsSnapshot stats = cluster.nicfs(1)->stats();
-  std::printf("[nicfs1] isolated-mode publications during the crash window: %llu\n",
+  std::printf("[nicfs1] isolated-mode entries: %llu, publications during the crash window: %llu\n",
+              static_cast<unsigned long long>(stats.isolated_entries),
               static_cast<unsigned long long>(stats.isolated_publishes));
   cluster.Shutdown();
   engine.Run();

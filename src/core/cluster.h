@@ -6,8 +6,6 @@
 #define SRC_CORE_CLUSTER_H_
 
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/config.h"
@@ -32,18 +30,6 @@ class KernelWorker;
 class ClusterManager;
 class LeaseManager;
 class LibFs;
-
-// Side-band for bulk NIC-to-NIC data: the simulated RDMA layer charges the
-// wire costs while the actual bytes (or pre-parsed entries in elided-data
-// mode) travel through this stash, keyed by destination.
-struct WirePayload {
-  std::vector<uint8_t> raw;                  // Chunk image (possibly compressed).
-  std::vector<fslib::ParsedEntry> entries;   // Used when payload bytes are elided.
-  bool compressed = false;
-  bool encrypted = false;      // `raw` is XOR-scrambled (xor_encrypt stage).
-  bool has_checksum = false;   // `checksum` seals `raw` as sent by the origin.
-  uint64_t checksum = 0;
-};
 
 class Cluster {
  public:
@@ -133,25 +119,6 @@ class Cluster {
   // immediately (not at the next sweeper tick).
   void SetServiceAlive(int node, bool alive);
 
-  // --- Wire payload stash -----------------------------------------------------
-
-  static std::string WireKey(int dst_node, int client, uint64_t chunk_no) {
-    return std::to_string(dst_node) + "/" + std::to_string(client) + "/" +
-           std::to_string(chunk_no);
-  }
-  void StashWire(const std::string& key, WirePayload payload) {
-    wire_[key] = std::move(payload);
-  }
-  WirePayload TakeWire(const std::string& key) {
-    auto it = wire_.find(key);
-    if (it == wire_.end()) {
-      return {};
-    }
-    WirePayload payload = std::move(it->second);
-    wire_.erase(it);
-    return payload;
-  }
-
  private:
   sim::Engine* engine_;
   DfsConfig config_;
@@ -175,7 +142,6 @@ class Cluster {
   shard::ShardMap shards_{0, 1, shard::Placement::kHash};
   std::vector<std::unique_ptr<shard::TxnService>> txns_;
   std::vector<std::unique_ptr<LibFs>> clients_;
-  std::unordered_map<std::string, WirePayload> wire_;
   std::vector<bool> service_alive_;
   bool started_ = false;
 };

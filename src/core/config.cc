@@ -16,57 +16,9 @@ Status Invalid(const std::string& message) {
   return Status::Error(ErrorCode::kInvalid, "DfsConfig: " + message);
 }
 
-// One deprecated flat alias -> ReplConfig field. `flat` 0 means unset.
-template <typename T>
-Status FoldAlias(const char* name, T* flat, T* canonical, T canonical_default) {
-  if (*flat != T{0}) {
-    if (*canonical != canonical_default && *canonical != *flat) {
-      return Invalid(std::string("deprecated flat ") + name + " (" +
-                     std::to_string(*flat) + ") contradicts repl." + name + " (" +
-                     std::to_string(*canonical) + "); set only one");
-    }
-    *canonical = *flat;
-  }
-  *flat = T{0};
-  return Status::Ok();
-}
-
 }  // namespace
 
-Status DfsConfig::Normalize() {
-  const ReplConfig defaults;
-  if (Status st = FoldAlias("fetch_depth", &fetch_depth, &repl.fetch_depth,
-                            defaults.fetch_depth);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = FoldAlias("transfer_window", &transfer_window,
-                            &repl.transfer_window, defaults.transfer_window);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = FoldAlias("retry_interval", &repl_retry_interval,
-                            &repl.retry_interval, defaults.retry_interval);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = FoldAlias("retry_timeout", &repl_retry_timeout,
-                            &repl.retry_timeout, defaults.retry_timeout);
-      !st.ok()) {
-    return st;
-  }
-  return Status::Ok();
-}
-
 Status DfsConfig::Validate() const {
-  DfsConfig norm = *this;
-  if (Status folded = norm.Normalize(); !folded.ok()) {
-    return folded;
-  }
-  return norm.ValidateNormalized();
-}
-
-Status DfsConfig::ValidateNormalized() const {
   if (num_nodes < 1) {
     return Invalid("num_nodes must be >= 1, got " + std::to_string(num_nodes));
   }

@@ -35,8 +35,7 @@ enum class PublishMethod {
 
 const char* PublishMethodName(PublishMethod method);
 
-// Replication-layer knobs, grouped and validated as a unit (the flat DfsConfig
-// fields of the same meaning are deprecated aliases; see Normalize()).
+// Replication-layer knobs, grouped and validated as a unit.
 struct ReplConfig {
   // Names a protocol registered in repl::Protocols(). Built-ins:
   //   chain      - successor-chain forwarding, one-way posts (default).
@@ -155,12 +154,6 @@ struct DfsConfig {
   // Replication knobs live here; read them as `config.repl.*`.
   ReplConfig repl;
 
-  // Deprecated flat aliases of the ReplConfig knobs, kept for pre-grouping
-  // call sites. 0 means "unset"; Normalize() folds a non-zero value into
-  // `repl` and rejects a value that contradicts an explicitly-set repl field.
-  int fetch_depth = 0;
-  int transfer_window = 0;
-
   // Replication flow control watermarks (§4).
   double mem_high_watermark = 0.70;
   double mem_low_watermark = 0.30;
@@ -170,11 +163,6 @@ struct DfsConfig {
   sim::Time kworker_rpc_timeout = 30 * sim::kMillisecond;
   sim::Time heartbeat_interval = sim::kSecond;  // Cluster manager (§3.6).
   sim::Time heartbeat_timeout = 2 * sim::kSecond;
-
-  // Deprecated flat aliases of ReplConfig::retry_interval / retry_timeout
-  // (same 0 = "unset" convention as fetch_depth/transfer_window above).
-  sim::Time repl_retry_interval = 0;
-  sim::Time repl_retry_timeout = 0;
 
   // Lease management.
   sim::Time lease_duration = sim::kSecond;
@@ -214,22 +202,11 @@ struct DfsConfig {
   }
   bool pipeline_parallel() const { return mode == DfsMode::kLineFS; }
 
-  // Folds the deprecated flat replication aliases into `repl` (non-zero flat
-  // value wins over an untouched repl default; a flat value that contradicts
-  // an explicitly-set repl field is an error) and clears the aliases so
-  // `repl.*` is the single source of truth afterwards. Idempotent; called by
-  // the Cluster constructor before any knob is read.
-  Status Normalize();
-
   // Range-checks every knob (watermarks ordered and in (0,1), num_nodes >= 1,
-  // chunk_size > 0, positive timeouts, registered replication protocol, ...)
-  // on a normalized copy of *this. Cluster::Start() refuses to boot on a
-  // failing config instead of silently misbehaving later.
+  // chunk_size > 0, positive timeouts, registered replication protocol, ...).
+  // Cluster::Start() refuses to boot on a failing config instead of silently
+  // misbehaving later.
   Status Validate() const;
-
- private:
-  // The check body behind Validate(); assumes Normalize() already ran.
-  Status ValidateNormalized() const;
 };
 
 }  // namespace linefs::core

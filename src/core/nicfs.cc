@@ -8,7 +8,6 @@
 #include "src/core/clustermgr.h"
 #include "src/pipeline/registry.h"
 #include "src/repl/registry.h"
-#include "src/sim/trace.h"
 
 namespace linefs::core {
 
@@ -23,6 +22,8 @@ NicFs::Metrics::Metrics(const obs::MetricScope& scope_in)
       validation_failures(scope.CounterAt("validation_failures")),
       checksum_verified(scope.CounterAt("checksum_verified")),
       checksum_mismatches(scope.CounterAt("checksum_mismatches")),
+      repl_decode_drops(scope.CounterAt("repl_decode_drops")),
+      isolated_entries(scope.CounterAt("isolated_entries")),
       isolated_publishes(scope.CounterAt("isolated_publishes")),
       flow_ctrl_stall_ns(scope.CounterAt("flow_ctrl_stall_ns")),
       repl_retransmits(scope.CounterAt("repl_retransmits")),
@@ -71,6 +72,8 @@ NicFs::StatsSnapshot NicFs::stats() const {
   s.validation_failures = metrics_.validation_failures->value();
   s.checksum_verified = metrics_.checksum_verified->value();
   s.checksum_mismatches = metrics_.checksum_mismatches->value();
+  s.repl_decode_drops = metrics_.repl_decode_drops->value();
+  s.isolated_entries = metrics_.isolated_entries->value();
   s.isolated_publishes = metrics_.isolated_publishes->value();
   s.flow_ctrl_stall_ns = metrics_.flow_ctrl_stall_ns->value();
   s.repl_retransmits = metrics_.repl_retransmits->value();
@@ -334,13 +337,17 @@ void NicFs::Start() {
     co_return Ack{};
   });
 
-  ep->Handle<ReplChunkMsg, Ack>(kRpcReplChunk, [this](ReplChunkMsg msg) -> sim::Task<Ack> {
-    // Ack receipt immediately; processing (local copy, forwarding, ack to the
-    // primary, publication) proceeds asynchronously so the sender can pipeline
-    // the next chunk (Fig. 3).
-    engine_->Spawn(HandleReplChunk(msg), "nicfs.repl_recv");
-    co_return Ack{};
-  });
+  ep->Handle<ReplChunkMsg, Ack>(
+      kRpcReplChunk, [this](ReplChunkMsg msg, rdma::Attachment payload) -> sim::Task<Ack> {
+        // Ack receipt immediately; processing (local copy, forwarding, ack to
+        // the primary, publication) proceeds asynchronously so the sender can
+        // pipeline the next chunk (Fig. 3). The chunk's bytes ride with the
+        // message as its fslib::Payload attachment.
+        engine_->Spawn(HandleReplChunk(msg, std::static_pointer_cast<const fslib::Payload>(
+                                                std::move(payload))),
+                       "nicfs.repl_recv");
+        co_return Ack{};
+      });
 
   ep->Handle<ReplAckMsg, Ack>(kRpcReplAck, [this](ReplAckMsg msg) -> sim::Task<Ack> {
     HandleReplAck(msg);
@@ -428,7 +435,6 @@ void NicFs::RegisterClient(int client, ClientHooks hooks) {
 
   raw->env.engine = engine_;
   raw->env.costs = &config_->fs_costs;
-  raw->env.materialize_data = config_->materialize_data;
   raw->env.coalescing = config_->coalescing;
   raw->env.compression_threads = config_->compression_threads;
   raw->env.node = node_->id();
@@ -519,9 +525,8 @@ sim::Task<> NicFs::FetchDma(ClientPipe* pipe, ChunkPtr chunk) {
                                 rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                 rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                 chunk->bytes());
-  if (config_->materialize_data) {
-    pipe->log->CopyRawOut(chunk->from, chunk->to, &chunk->image);
-  }
+  chunk->image = pipe->log->ReadPayload(chunk->from, chunk->to);
+  chunk->wire = chunk->image;
   span.End();
   metrics_.stage_fetch->Record(engine_->Now() - t0);
   metrics_.chunks_fetched->Increment();
@@ -781,7 +786,7 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
   sim::Time t0 = engine_->Now();
   // The wire carries the transformed image when any transform stage ran
   // (compression changes the size; encryption keeps it).
-  uint64_t wire_bytes = chunk->wire.empty() ? chunk->bytes() : chunk->wire.size();
+  uint64_t wire_bytes = chunk->wire_bytes();
   // Urgency is evaluated at send time, not admission time: a chunk prefetched
   // before an fsync arrived still rides the low-latency channel once a waiter
   // is blocked on it.
@@ -805,19 +810,6 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     pipe->pending_acks[chunk->no] = std::move(st);
   }
 
-  WirePayload payload;
-  if (!chunk->wire.empty()) {
-    payload.raw = chunk->wire;
-    payload.compressed = chunk->wire_compressed;
-    payload.encrypted = chunk->wire_encrypted;
-  } else if (config_->materialize_data) {
-    payload.raw = chunk->image;
-  } else {
-    payload.entries = chunk->entries;
-  }
-  payload.has_checksum = chunk->wire_checksummed;
-  payload.checksum = chunk->wire_checksum;
-
   // Bulk one-sided write into each target NICFS's memory, then its control
   // message — issued back-to-back under the pipe's wire mutex so concurrent
   // window slots submit to the QP strictly in client-log order (a fan-out's
@@ -831,8 +823,6 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
   for (size_t i = 0; i < targets.size(); ++i) {
     const repl::Target& target = targets[i];
     const bool last_target = i + 1 == targets.size();
-    cluster_->StashWire(Cluster::WireKey(target.node, pipe->client, chunk->no),
-                        last_target ? std::move(payload) : payload);
     // Doorbell batching: the bulk write and its control send are consecutive
     // posts on this target's QP; under a busy window only every
     // doorbell_batch-th post pays the verb + doorbell cost.
@@ -867,7 +857,7 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
           NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
           EndpointName(target.node),
           urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-          kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context());
+          kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(), chunk->wire);
       if (!rt.ok()) {
         OnReplSendFailure(pipe, chunk->no, target.node);
       }
@@ -887,7 +877,8 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
           urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
           kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(),
           last_target ? std::function<void()>([pipe] { pipe->wire_mutex.Unlock(); })
-                      : std::function<void()>{});
+                      : std::function<void()>{},
+          chunk->wire);
       if (!sent.ok()) {
         OnReplSendFailure(pipe, chunk->no, target.node);
       }
@@ -972,9 +963,12 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
         } else {
           // Timed out or refused: drop the hand-off if unconsumed (a handler
           // that already took it owns its copy) and go isolated (§3.5).
+          // Concurrent publishes can time out together; count one entry.
           node_->TakePlan(plan_id);
-          isolated_ = true;
-          LFS_TRACE(engine_->Now(), "nicfs", "node %d entering isolated mode", node_->id());
+          if (!isolated_) {
+            isolated_ = true;
+            metrics_.isolated_entries->Increment();
+          }
         }
       }
       if (!copies_done) {
@@ -1092,9 +1086,10 @@ NicFs::ReplicaPipe* NicFs::GetReplicaPipe(int client) {
   return raw;
 }
 
-sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
-  WirePayload payload =
-      cluster_->TakeWire(Cluster::WireKey(node_->id(), msg.client, msg.chunk_no));
+sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg, fslib::PayloadPtr wire) {
+  if (wire == nullptr) {
+    wire = std::make_shared<const fslib::Payload>();  // Nothing was attached.
+  }
   fslib::LogArea& log = node_->client_log(static_cast<int>(msg.client));
   std::vector<int> chain = ChainFor(msg.origin_node);
   // Terminal (fanout) deliveries — quorum dispatch and retransmit refills —
@@ -1114,60 +1109,74 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
     nic.ReserveMem(raw_bytes);
   }
 
-  // Verify the CRC32C seal over the wire bytes exactly as received, before
-  // any transform is undone. A mismatch is counted but the chunk still flows:
-  // in the model corruption never actually happens, so this is the detection
-  // path, not a drop path.
+  // A chunk this hop cannot decode — its CRC32C seal does not match, or its
+  // compressed stream is malformed — is dropped: no PM write, no forward, no
+  // ack. The origin's retransmit sweeper re-sends it.
+  bool intact = true;
+
+  // Verify the seal over the wire bytes exactly as received, before any
+  // transform is undone. A direct-to-host delivery's bytes went straight to
+  // host PM; the forwarding hop verified them.
   if (msg.checksum_present != 0) {
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.checksum_cycles_per_byte *
                               static_cast<double>(msg.wire_bytes)),
         urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
-    if (!payload.raw.empty()) {
-      if (payload.has_checksum && pipeline::WireChecksum(payload.raw) == msg.checksum) {
+    if (!msg.direct_to_host && !wire->bytes.empty()) {
+      if (pipeline::WireChecksum(wire->bytes) == msg.checksum) {
         metrics_.checksum_verified->Increment();
       } else {
         metrics_.checksum_mismatches->Increment();
+        intact = false;
       }
     }
   }
 
   // Undo the wire transforms in reverse chain order for local use: decrypt,
-  // then decompress. `payload` itself stays in wire form — a chain forward
-  // must relay the exact bytes (and flags) this hop received.
-  std::vector<uint8_t> plain = payload.raw;
-  if (msg.encrypted != 0 && !plain.empty()) {
+  // then decompress. `wire` itself stays as received — a chain forward must
+  // relay the exact bytes (and flags) this hop got. An untransformed chunk
+  // shares that one buffer all the way to the PM write.
+  fslib::PayloadPtr plain = wire;
+  if (intact && msg.encrypted != 0 && !wire->bytes.empty()) {
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.encrypt_cycles_per_byte *
-                              static_cast<double>(plain.size())),
+                              static_cast<double>(wire->bytes.size())),
         urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
-    pipeline::XorCipher(&plain);  // Involutive: same routine decrypts.
+    auto clear = std::make_shared<fslib::Payload>(fslib::Payload{wire->bytes, {}});
+    pipeline::XorCipher(&clear->bytes);  // Involutive: same routine decrypts.
+    plain = std::move(clear);
   }
   // Decompress for local use (the paper's compression stage compresses once
   // at the primary; every replica decompresses for its own PM copy).
-  std::vector<uint8_t> image;
-  if (msg.compressed != 0 && !plain.empty()) {
+  if (intact && msg.compressed != 0 && !plain->bytes.empty()) {
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.decompress_cycles_per_byte *
                               static_cast<double>(raw_bytes)),
         urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
-    Result<std::vector<uint8_t>> restored = compress::LzwDecompress(plain);
+    Result<std::vector<uint8_t>> restored = compress::LzwDecompress(plain->bytes);
     if (restored.ok()) {
-      image = std::move(*restored);
+      plain = std::make_shared<const fslib::Payload>(fslib::Payload{std::move(*restored), {}});
+    } else {
+      intact = false;
     }
-  } else {
-    image = std::move(plain);
+  }
+  if (!intact) {
+    metrics_.repl_decode_drops->Increment();
+    if (!msg.direct_to_host) {
+      nic.ReleaseMem(raw_bytes);
+    }
+    co_return;
   }
 
   std::vector<sim::Task<>> parallel;
 
   // (a) Forward to the next replica in the chain (Fig. 3, step 5).
   if (!last) {
-    parallel.push_back(ForwardChunk(msg, payload, image, chain));
+    parallel.push_back(ForwardChunk(msg, wire, chain));
   }
 
   // (b) Copy into the local host PM log, then ack the primary (steps 6, 7).
-  parallel.push_back(LocalCopyAndAck(msg, payload, image, log));
+  parallel.push_back(LocalCopyAndAck(msg, plain, log));
 
   co_await sim::AwaitAll(engine_, std::move(parallel));
 
@@ -1186,17 +1195,11 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg) {
     chunk->to = msg.to;
     chunk->release_refs = 1;
     chunk->ctx = msg.ctx;  // Replica publication joins the operation's trace.
-    if (config_->materialize_data) {
-      Result<std::vector<fslib::ParsedEntry>> parsed =
-          msg.direct_to_host ? log.ParseRange(msg.from, msg.to)
-                             : fslib::LogArea::ParseChunkImage(image, msg.from);
-      if (parsed.ok()) {
-        chunk->entries = std::move(*parsed);
-      } else {
-        chunk->failed = true;
-      }
+    Result<std::vector<fslib::ParsedEntry>> parsed = log.ParsePayload(*plain, msg.from);
+    if (parsed.ok()) {
+      chunk->entries = std::move(*parsed);
     } else {
-      chunk->entries = std::move(payload.entries);
+      chunk->failed = true;
     }
     uint64_t chunk_no = chunk->no;
     rp->publish_rb.Push(chunk_no, std::move(chunk));
@@ -1215,8 +1218,8 @@ sim::Mutex* NicFs::ForwardMutex(int client) {
   return it->second.get();
 }
 
-sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
-                                std::vector<uint8_t> image, std::vector<int> chain) {
+sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, fslib::PayloadPtr wire,
+                                std::vector<int> chain) {
   int next = chain[msg.hop + 1];
   bool next_is_last = msg.hop + 2 >= static_cast<int>(chain.size());
   bool urgent = msg.urgent != 0;
@@ -1234,38 +1237,28 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
   if (next_is_last && msg.compressed == 0 && msg.encrypted == 0) {
     // Penultimate-hop optimisation (Fig. 3, step 6'): write straight into the
     // last replica's host PM log, skipping its SmartNIC memory copy. Only for
-    // untransformed payloads — host PM must receive plaintext bytes.
+    // untransformed payloads — host PM must receive plaintext bytes, which an
+    // untransformed wire payload is.
     fwd.direct_to_host = 1;
-    fslib::LogArea& dst_log = cluster_->dfs_node(next).client_log(static_cast<int>(msg.client));
-    if (config_->materialize_data && !image.empty()) {
-      dst_log.WriteRaw(msg.from, image);
-    } else {
-      for (const fslib::ParsedEntry& e : payload.entries) {
-        dst_log.MirrorHeader(e);
-      }
-    }
-    dst_log.SetTail(msg.to);
-    WirePayload fwd_payload;
-    fwd_payload.entries = payload.entries;
-    cluster_->StashWire(Cluster::WireKey(next, static_cast<int>(msg.client), msg.chunk_no),
-                        std::move(fwd_payload));
+    cluster_->dfs_node(next)
+        .client_log(static_cast<int>(msg.client))
+        .ApplyPayload(msg.from, msg.to, *wire);
     co_await cluster_->net().Write(NicInitiator(urgent),
                                    rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                    rdma::MemAddr{next, rdma::Space::kHostPm}, msg.to - msg.from);
   } else {
     // Regular NIC-to-NIC forward (compressed payloads stay compressed).
-    cluster_->StashWire(Cluster::WireKey(next, static_cast<int>(msg.client), msg.chunk_no),
-                        payload);
     co_await cluster_->net().Write(NicInitiator(urgent),
                                    rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                    rdma::MemAddr{next, rdma::Space::kNicMem}, msg.wire_bytes);
   }
+  // The next hop receives the same shared payload this hop received.
   if (protocol_->info().blocking) {
     // chain_sync: legacy blocking forward (see DoTransfer).
     Result<Ack> rt = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
         NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
         EndpointName(next), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context());
+        kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context(), wire);
     wire_mu->Unlock();
     if (!rt.ok()) {
       metrics_.repl_send_failures->Increment();
@@ -1279,15 +1272,15 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, WirePayload payload,
         NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
         EndpointName(next), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
         kRpcReplChunk, fwd, 10 * sim::kMillisecond, span.context(),
-        [wire_mu] { wire_mu->Unlock(); });
+        [wire_mu] { wire_mu->Unlock(); }, wire);
     if (!sent.ok()) {
       metrics_.repl_send_failures->Increment();
     }
   }
 }
 
-sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, WirePayload payload,
-                                   std::vector<uint8_t> image, fslib::LogArea& log) {
+sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, fslib::PayloadPtr plain,
+                                   fslib::LogArea& log) {
   bool urgent = msg.urgent != 0;
   obs::Span span(trace_, component_, "repl_copy", node_->id(), static_cast<int>(msg.client),
                  msg.chunk_no, msg.ctx);
@@ -1296,15 +1289,9 @@ sim::Task<> NicFs::LocalCopyAndAck(ReplChunkMsg msg, WirePayload payload,
     co_await cluster_->net().RawTransfer(rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                          rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                          msg.to - msg.from);
-    if (config_->materialize_data && !image.empty()) {
-      log.WriteRaw(msg.from, image);
-    } else {
-      for (const fslib::ParsedEntry& e : payload.entries) {
-        log.MirrorHeader(e);
-      }
-    }
+    log.ApplyPayload(msg.from, msg.to, *plain);
   }
-  log.SetTail(msg.to);
+  // A direct-to-host delivery was applied to this log by the forwarding hop.
 
   ReplAckMsg ack;
   ack.client = msg.client;
@@ -1488,27 +1475,15 @@ sim::Task<> NicFs::RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t
                                    obs::TraceContext ctx) {
   obs::Span span(trace_, component_, "retransmit", node_->id(), pipe->client, chunk_no, ctx);
   // The log range is still resident: reclaim never passes an unreplicated
-  // chunk, so the bytes can be re-read straight from the client log.
-  std::vector<uint8_t> image;
-  std::vector<fslib::ParsedEntry> entries;
-  if (config_->materialize_data) {
-    pipe->log->CopyRawOut(from, to, &image);
-  } else {
-    Result<std::vector<fslib::ParsedEntry>> parsed = pipe->log->ParseRange(from, to);
-    if (parsed.ok()) {
-      entries = std::move(*parsed);
-    }
-  }
+  // chunk, so the bytes can be re-read straight from the client log. Every
+  // peer is sent the same untransformed payload.
+  fslib::PayloadPtr payload = pipe->log->ReadPayload(from, to);
   for (int replica : peers) {
     // Re-check liveness per send: the awaits below span real simulated time
     // and the sweeper pre-filtered against an older view.
     if (replica == node_->id() || !cluster_->service_alive(replica)) {
       continue;
     }
-    WirePayload payload;
-    payload.raw = image;
-    payload.entries = entries;
-    cluster_->StashWire(Cluster::WireKey(replica, pipe->client, chunk_no), std::move(payload));
     co_await cluster_->net().Write(NicInitiator(urgent),
                                    rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
                                    rdma::MemAddr{replica, rdma::Space::kNicMem}, to - from);
@@ -1529,7 +1504,7 @@ sim::Task<> NicFs::RetransmitChunk(ClientPipe* pipe, uint64_t chunk_no, uint64_t
     Status sent = co_await cluster_->rpc().Post(
         NicInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
         EndpointName(replica), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context());
+        kRpcReplChunk, msg, 10 * sim::kMillisecond, span.context(), {}, payload);
     if (!sent.ok()) {
       // The chunk stays pending; the sweeper comes back on the next tick.
       metrics_.repl_send_failures->Increment();
@@ -1700,13 +1675,10 @@ sim::Task<> NicFs::KworkerMonitor() {
         PingReq{node_->id()}, config_->kworker_rpc_timeout);
     if (!pong.ok() && !isolated_) {
       isolated_ = true;
-      LFS_TRACE(engine_->Now(), "nicfs", "node %d: kernel worker down -> isolated mode",
-                node_->id());
+      metrics_.isolated_entries->Increment();
     } else if (pong.ok() && isolated_) {
       // The kernel worker is stateless: resume host-based publication (§3.5).
       isolated_ = false;
-      LFS_TRACE(engine_->Now(), "nicfs", "node %d: kernel worker back -> normal mode",
-                node_->id());
     }
   }
 }

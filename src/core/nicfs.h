@@ -11,8 +11,8 @@
 // what preserves linearizability and prefix crash consistency (§3.1).
 //
 // Stages are windowed rather than lock-step: fetch keeps up to
-// DfsConfig::fetch_depth PCIe DMA reads outstanding and transfer keeps up to
-// DfsConfig::transfer_window chunks in flight on the wire, each bounded by
+// ReplConfig::fetch_depth PCIe DMA reads outstanding and transfer keeps up to
+// ReplConfig::transfer_window chunks in flight on the wire, each bounded by
 // explicit per-pipe credits. Submission order never changes — only who waits.
 // Replication control messages (kRpcReplChunk, chain forwards, kRpcReplAck)
 // are one-way rdma::RpcSystem::Post sends; completion is signalled solely by
@@ -116,6 +116,8 @@ class NicFs {
     uint64_t validation_failures = 0;
     uint64_t checksum_verified = 0;       // Replica-side CRC32C seals that matched.
     uint64_t checksum_mismatches = 0;     // Seals that did not (corruption).
+    uint64_t repl_decode_drops = 0;       // Received chunks dropped undecodable.
+    uint64_t isolated_entries = 0;        // Switches into isolated mode (§3.5).
     uint64_t isolated_publishes = 0;
     uint64_t flow_ctrl_stall_ns = 0;      // Fetch time lost to §4 watermark stalls.
     uint64_t repl_retransmits = 0;        // Chunk re-sends by the retry sweeper.
@@ -222,10 +224,10 @@ class NicFs {
     uint64_t reclaimed_upto = 0;
     sim::Condition progress;
     // Wakes ReplRetryMonitor out of turn: the periodic ticker notifies every
-    // repl_retry_interval, and a failed one-way send notifies immediately.
+    // repl.retry_interval, and a failed one-way send notifies immediately.
     sim::Condition retry_kick;
     // Windowed data path credits: outstanding PCIe fetch DMAs and in-flight
-    // replication transfers, bounded by DfsConfig::{fetch_depth,
+    // replication transfers, bounded by ReplConfig::{fetch_depth,
     // transfer_window}. Credits are held from admission to completion.
     sim::Semaphore fetch_credits;
     sim::Semaphore transfer_credits;
@@ -340,6 +342,8 @@ class NicFs {
     obs::Counter* validation_failures;
     obs::Counter* checksum_verified;
     obs::Counter* checksum_mismatches;
+    obs::Counter* repl_decode_drops;
+    obs::Counter* isolated_entries;
     obs::Counter* isolated_publishes;
     obs::Counter* flow_ctrl_stall_ns;
     obs::Counter* repl_retransmits;
@@ -373,11 +377,11 @@ class NicFs {
   void SampleObs();
 
   sim::Task<Status> PublishChunk(PipeBase* pipe, ChunkPtr chunk);
-  sim::Task<> HandleReplChunk(ReplChunkMsg msg);
-  sim::Task<> ForwardChunk(ReplChunkMsg msg, struct WirePayload payload,
-                           std::vector<uint8_t> image, std::vector<int> chain);
-  sim::Task<> LocalCopyAndAck(ReplChunkMsg msg, struct WirePayload payload,
-                              std::vector<uint8_t> image, fslib::LogArea& log);
+  // Replica side of a chunk delivery: `wire` is the payload as sent, still
+  // carrying the transforms the message flags name.
+  sim::Task<> HandleReplChunk(ReplChunkMsg msg, fslib::PayloadPtr wire);
+  sim::Task<> ForwardChunk(ReplChunkMsg msg, fslib::PayloadPtr wire, std::vector<int> chain);
+  sim::Task<> LocalCopyAndAck(ReplChunkMsg msg, fslib::PayloadPtr plain, fslib::LogArea& log);
   void HandleReplAck(const ReplAckMsg& msg);
   // Per-client wire-submission mutex for chain forwards (same single-QP
   // ordering as ClientPipe::wire_mutex, but on the replica's outbound link).

@@ -5,7 +5,6 @@
 
 #include "src/core/cluster.h"
 #include "src/repl/registry.h"
-#include "src/sim/trace.h"
 
 namespace linefs::core {
 
@@ -50,6 +49,7 @@ SharedFs::SharedFs(Cluster* cluster, DfsNode* node, const DfsConfig* config)
   metrics_.chunks_replicated = scope.CounterAt("chunks_replicated");
   metrics_.bytes_replicated = scope.CounterAt("bytes_replicated");
   metrics_.preposts = scope.CounterAt("preposts");
+  metrics_.replica_digest_failures = scope.CounterAt("replica_digest_failures");
 }
 
 SharedFs::Stats SharedFs::stats() const {
@@ -59,6 +59,7 @@ SharedFs::Stats SharedFs::stats() const {
   s.chunks_replicated = metrics_.chunks_replicated->value();
   s.bytes_replicated = metrics_.bytes_replicated->value();
   s.preposts = metrics_.preposts->value();
+  s.replica_digest_failures = metrics_.replica_digest_failures->value();
   return s;
 }
 
@@ -94,10 +95,12 @@ void SharedFs::Start() {
   ep->SetAlivePredicate([node = node_] { return node->hw().host_up(); });
   ep->SetDispatchPriority(config_->host_fs_priority);
 
-  ep->Handle<ReplChunkMsg, Ack>(kRpcReplChunk, [this](ReplChunkMsg msg) -> sim::Task<Ack> {
-    co_await HandleReplRange(msg);
-    co_return Ack{};
-  });
+  ep->Handle<ReplChunkMsg, Ack>(
+      kRpcReplChunk, [this](ReplChunkMsg msg, rdma::Attachment payload) -> sim::Task<Ack> {
+        co_await HandleReplRange(
+            msg, std::static_pointer_cast<const fslib::Payload>(std::move(payload)));
+        co_return Ack{};
+      });
 
   // Remote lease arbitration: with a sharded namespace a client whose inode
   // lives on another node's shard acquires from that node's SharedFS over
@@ -338,16 +341,8 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
   }
 
   uint64_t bytes = to - from;
-  // Build the wire payload once; each target gets its own stashed copy.
-  WirePayload payload;
-  if (config_->materialize_data) {
-    state->log->CopyRawOut(from, to, &payload.raw);
-  } else {
-    Result<std::vector<fslib::ParsedEntry>> parsed = state->log->ParseRange(from, to);
-    if (parsed.ok()) {
-      payload.entries = std::move(*parsed);
-    }
-  }
+  // Read the range once; every target's message carries the same payload.
+  fslib::PayloadPtr payload = state->log->ReadPayload(from, to);
 
   // Host-posted RDMA write into each target's PM, then its RPC — blocking
   // round trips either way (the host baseline is synchronous). Under chain
@@ -359,9 +354,6 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
   Status send_error = Status::Ok();
   for (size_t i = 0; i < targets.size(); ++i) {
     const repl::Target& target = targets[i];
-    const bool last_target = i + 1 == targets.size();
-    cluster_->StashWire(Cluster::WireKey(target.node, state->client, from),
-                        last_target ? std::move(payload) : payload);
     co_await cluster_->net().Write(HostInitiator(urgent),
                                    rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                    rdma::MemAddr{target.node, rdma::Space::kHostPm}, bytes);
@@ -379,7 +371,7 @@ sim::Task<Status> SharedFs::ReplicateRange(ClientState* state, uint64_t from, ui
     Result<Ack> ack = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
         HostInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
         EndpointName(target.node), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-        kRpcReplChunk, msg, /*timeout=*/200 * sim::kMillisecond, span.context());
+        kRpcReplChunk, msg, /*timeout=*/200 * sim::kMillisecond, span.context(), payload);
     if (ack.ok()) {
       acked.insert(target.node);
     } else {
@@ -427,16 +419,7 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
 
   // Mirror the bytes into every replica's log (the simulator's stand-in for
   // the NIC-chained WAIT-verb data movement).
-  std::vector<uint8_t> raw;
-  std::vector<fslib::ParsedEntry> entries;
-  if (config_->materialize_data) {
-    state->log->CopyRawOut(from, to, &raw);
-  } else {
-    Result<std::vector<fslib::ParsedEntry>> parsed = state->log->ParseRange(from, to);
-    if (parsed.ok()) {
-      entries = std::move(*parsed);
-    }
-  }
+  fslib::PayloadPtr payload = state->log->ReadPayload(from, to);
 
   // Hop 1: host-posted one-sided write into replica-1 PM (no remote CPU).
   rdma::Initiator post_only = HostInitiator(urgent);
@@ -449,15 +432,7 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
                                    rdma::MemAddr{chain[hop], rdma::Space::kHostPm}, bytes);
   }
   for (size_t hop = 1; hop < chain.size(); ++hop) {
-    fslib::LogArea& dst = cluster_->dfs_node(chain[hop]).client_log(state->client);
-    if (!raw.empty()) {
-      dst.WriteRaw(from, raw);
-    } else {
-      for (const fslib::ParsedEntry& e : entries) {
-        dst.MirrorHeader(e);
-      }
-    }
-    dst.SetTail(to);
+    cluster_->dfs_node(chain[hop]).client_log(state->client).ApplyPayload(from, to, *payload);
   }
   // Final ACK travels back over the wire.
   co_await engine_->SleepFor(config_->node_params.nic.net_latency);
@@ -491,7 +466,7 @@ sim::Task<Status> SharedFs::ReplicateHyperloop(ClientState* state, uint64_t from
   co_return Status::Ok();
 }
 
-sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
+sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg, fslib::PayloadPtr payload) {
   hw::Node& hw = node_->hw();
   fslib::LogArea& log = node_->client_log(static_cast<int>(msg.client));
   bool urgent = msg.urgent != 0;
@@ -504,24 +479,17 @@ sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
     co_await hw.host_cpu().RunCycles(3000, urgent ? sim::Priority::kHigh
                                                   : config_->host_fs_priority,
                                      hw.acct_fs());
-    WirePayload payload =
-        cluster_->TakeWire(Cluster::WireKey(node_->id(), static_cast<int>(msg.client), msg.from));
-    if (!payload.raw.empty()) {
-      log.WriteRaw(msg.from, payload.raw);
+    if (payload != nullptr) {
+      log.ApplyPayload(msg.from, msg.to, *payload);
     } else {
-      for (const fslib::ParsedEntry& e : payload.entries) {
-        log.MirrorHeader(e);
-      }
+      log.SetTail(msg.to);  // Nothing was attached.
     }
-    log.SetTail(msg.to);
 
     // Forward down the chain before acking (chain replication). Terminal
     // (fanout) deliveries are point-to-point and never relayed.
     std::vector<int> chain = ChainFor(msg.origin_node);
     if (msg.fanout == 0 && msg.hop + 1 < static_cast<int>(chain.size())) {
       int next = chain[msg.hop + 1];
-      cluster_->StashWire(Cluster::WireKey(next, static_cast<int>(msg.client), msg.from),
-                          std::move(payload));
       co_await cluster_->net().Write(HostInitiator(urgent),
                                      rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
                                      rdma::MemAddr{next, rdma::Space::kHostPm},
@@ -531,7 +499,7 @@ sim::Task<> SharedFs::HandleReplRange(ReplChunkMsg msg) {
       Result<Ack> ack = co_await cluster_->rpc().Call<ReplChunkMsg, Ack>(
           HostInitiator(urgent), rdma::MemAddr{node_->id(), rdma::Space::kHostPm},
           EndpointName(next), urgent ? rdma::Channel::kLowLat : rdma::Channel::kHighTput,
-          kRpcReplChunk, fwd, /*timeout=*/200 * sim::kMillisecond, msg.ctx);
+          kRpcReplChunk, fwd, /*timeout=*/200 * sim::kMillisecond, msg.ctx, payload);
       (void)ack;
     }
   } else {
@@ -580,8 +548,7 @@ sim::Task<> SharedFs::ReplicaDigestWorker(ReplicaState* state) {
       Status st = co_await DigestRange(state->log, from, to, &state->published_upto,
                                        /*replica_side=*/true);
       if (!st.ok()) {
-        LFS_TRACE(engine_->Now(), "sharedfs", "replica digest failed: %s",
-                  st.ToString().c_str());
+        metrics_.replica_digest_failures->Increment();
         state->published_upto = std::max(state->published_upto, to);  // Skip, stay live.
       }
     }

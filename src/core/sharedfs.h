@@ -83,6 +83,7 @@ class SharedFs {
     uint64_t chunks_replicated = 0;
     uint64_t bytes_replicated = 0;
     uint64_t preposts = 0;  // Hyperloop verb-batch postings.
+    uint64_t replica_digest_failures = 0;  // Replicated ranges skipped undigested.
   };
   Stats stats() const;
 
@@ -130,7 +131,8 @@ class SharedFs {
                                 uint64_t* published_upto, bool replica_side = false,
                                 obs::TraceContext ctx = {});
 
-  sim::Task<> HandleReplRange(ReplChunkMsg msg);
+  // Replica side of a range delivery; `payload` is the message attachment.
+  sim::Task<> HandleReplRange(ReplChunkMsg msg, fslib::PayloadPtr payload);
   void TryReclaim(ClientState* state);
   ReplicaState* GetReplicaState(int client);
   rdma::Initiator HostInitiator(bool urgent) const;
@@ -167,6 +169,7 @@ class SharedFs {
     obs::Counter* chunks_replicated = nullptr;
     obs::Counter* bytes_replicated = nullptr;
     obs::Counter* preposts = nullptr;
+    obs::Counter* replica_digest_failures = nullptr;
   };
   Metrics metrics_;
 };

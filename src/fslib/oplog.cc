@@ -162,6 +162,40 @@ Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to)
   return entries;
 }
 
+PayloadPtr LogArea::ReadPayload(uint64_t from, uint64_t to) const {
+  auto payload = std::make_shared<Payload>();
+  if (materialize_) {
+    CopyRawOut(from, to, &payload->bytes);
+  } else if (Result<std::vector<ParsedEntry>> parsed = ParseRange(from, to); parsed.ok()) {
+    payload->entries = std::move(*parsed);
+  } else {
+    payload->corrupt = true;
+  }
+  return payload;
+}
+
+void LogArea::ApplyPayload(uint64_t from, uint64_t to, const Payload& payload) {
+  if (materialize_) {
+    WriteRaw(from, payload.bytes);
+  } else {
+    for (const ParsedEntry& e : payload.entries) {
+      MirrorHeader(e);
+    }
+  }
+  SetTail(to);
+}
+
+Result<std::vector<ParsedEntry>> LogArea::ParsePayload(const Payload& payload,
+                                                       uint64_t from) const {
+  if (materialize_) {
+    return ParseChunkImage(payload.bytes, from);
+  }
+  if (payload.corrupt) {
+    return Status::Error(ErrorCode::kCorrupt, "payload range failed to parse");
+  }
+  return payload.entries;
+}
+
 Result<std::vector<ParsedEntry>> LogArea::ParseChunkImage(std::span<const uint8_t> image,
                                                           uint64_t base_logical) {
   std::vector<ParsedEntry> entries;

@@ -16,6 +16,7 @@
 #define SRC_FSLIB_OPLOG_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -80,6 +81,20 @@ struct ParsedEntry {
   }
 };
 
+// One chunk's replication payload, built once and then shared read-only by
+// every stage, message and replica hop that carries the chunk. With
+// materialized data it holds bytes: the raw log image, or a transformed copy
+// a stage made (compress, xor_encrypt). With elided data it holds no bytes,
+// only the parsed entry headers the replicas mirror and publish. Which
+// transforms the bytes carry travels beside it (pipeline::Chunk flags,
+// core::ReplChunkMsg), not in it.
+struct Payload {
+  std::vector<uint8_t> bytes;
+  std::vector<ParsedEntry> entries;
+  bool corrupt = false;  // Elided data: the source range failed to parse.
+};
+using PayloadPtr = std::shared_ptr<const Payload>;
+
 // The private log of one LibFS client, backed by a slice of the node's PM.
 class LogArea {
  public:
@@ -116,6 +131,17 @@ class LogArea {
   // digestion path used by the Assise baselines and by recovery).
   Result<std::vector<ParsedEntry>> ParseRange(uint64_t from, uint64_t to) const;
 
+  // The payload-level view of the log, where the materialize decision lives.
+  // ReadPayload: range [from, to) as a replication payload (the raw image, or
+  // the parsed headers when data is elided). ApplyPayload: replica-side
+  // mirror of a payload at the logical position it held in the origin's log
+  // (log areas are position-synchronised along the replication chain), then
+  // the tail advances to `to`. ParsePayload: the entries a payload starting
+  // at logical position `from` carries.
+  PayloadPtr ReadPayload(uint64_t from, uint64_t to) const;
+  void ApplyPayload(uint64_t from, uint64_t to, const Payload& payload);
+  Result<std::vector<ParsedEntry>> ParsePayload(const Payload& payload, uint64_t from) const;
+
   // Largest logical position `end` in (from, from + max_bytes] such that
   // [from, end) holds whole entries and does not cross the wrap point.
   // Returns `from` if the log is empty at `from`.
@@ -137,26 +163,24 @@ class LogArea {
   static Result<std::vector<ParsedEntry>> ParseChunkImage(std::span<const uint8_t> image,
                                                           uint64_t base_logical);
 
-  // Replica-side mirroring: writes a raw chunk image at the same logical
-  // position it occupied in the primary's log (log areas are position-
-  // synchronised along the replication chain) and persists it.
-  void WriteRaw(uint64_t logical_from, std::span<const uint8_t> image);
-
-  // Advances the tail to `logical_to` (after WriteRaw of a whole chunk).
+  // Advances the tail to `logical_to` (a replica whose chunk bytes were
+  // applied to this log by another hop).
   void SetTail(uint64_t logical_to) {
     if (logical_to > tail_) {
       tail_ = logical_to;
     }
   }
 
-  // Mirrors just an entry header (elided-data mode: replicas keep scannable
-  // logs even when payload bytes are not materialised).
+ private:
+  // ApplyPayload's two halves. WriteRaw writes and persists a raw chunk
+  // image; MirrorHeader writes just an entry header (elided data: replicas
+  // keep scannable logs even when payload bytes are not materialised).
+  void WriteRaw(uint64_t logical_from, std::span<const uint8_t> image);
   void MirrorHeader(const ParsedEntry& entry) {
     region_->WriteObject(Phys(entry.logical_pos), entry.header);
     region_->Persist(Phys(entry.logical_pos), sizeof(LogEntryHeader));
   }
 
- private:
   static constexpr uint64_t kMetaBytes = 64;  // Persistent head pointer record.
 
   struct MetaRecord {

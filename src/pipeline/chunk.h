@@ -1,11 +1,13 @@
 // The unit of work flowing through the NICFS persistence pipeline.
 //
 // A chunk is one contiguous client-log range, fetched once and then shared by
-// the publication path (entries) and the replication path (wire bytes). Stage
-// plugins (src/pipeline/stage.h) transform the wire representation in place:
-// compress fills `wire`, encryption scrambles it, checksumming seals it. The
-// `wire_*` flags record which transforms the bytes currently carry so the
-// receiving replica can undo them in reverse order.
+// the publication path (entries) and the replication path (wire payload).
+// `image` is the fetched fslib::Payload; `wire` starts as the same shared
+// buffer and is what the transfer stage sends. A stage plugin
+// (src/pipeline/stage.h) that changes bytes points `wire` at a new buffer:
+// compress and encryption do, checksumming only seals. The `wire_*` flags
+// record which transforms the bytes carry so the receiving replica can undo
+// them in reverse order.
 
 #ifndef SRC_PIPELINE_CHUNK_H_
 #define SRC_PIPELINE_CHUNK_H_
@@ -27,9 +29,9 @@ struct Chunk {
   uint64_t to = 0;
   bool urgent = false;
   bool failed = false;  // Parse/validation failure: skip work, keep order.
-  std::vector<uint8_t> image;               // Raw log bytes (NIC memory).
+  fslib::PayloadPtr image;                  // As fetched into NIC memory.
+  fslib::PayloadPtr wire;                   // As sent to the replicas.
   std::vector<fslib::ParsedEntry> entries;  // Populated by validation.
-  std::vector<uint8_t> wire;                // Transformed image (optional).
   bool wire_compressed = false;
   bool wire_encrypted = false;
   bool wire_checksummed = false;
@@ -41,6 +43,8 @@ struct Chunk {
   // stages (fetch -> validate), so each stage span parents on the previous.
   obs::TraceContext ctx;
   uint64_t bytes() const { return to - from; }
+  // Bytes the wire payload occupies; the logical size when data is elided.
+  uint64_t wire_bytes() const { return wire->bytes.empty() ? bytes() : wire->bytes.size(); }
 };
 
 using ChunkPtr = std::shared_ptr<Chunk>;

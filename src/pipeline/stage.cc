@@ -16,19 +16,6 @@ sim::Priority ChunkPriority(const ChunkPtr& chunk) {
   return chunk->urgent ? sim::Priority::kRealtime : sim::Priority::kNormal;
 }
 
-// Current wire representation the transform stages operate on: compressed
-// bytes if a compress stage already ran, else the raw image.
-const std::vector<uint8_t>& WireSource(const ChunkPtr& chunk) {
-  return chunk->wire.empty() ? chunk->image : chunk->wire;
-}
-
-// Bytes a transform stage touches; falls back to the logical chunk size when
-// payloads are elided so the cost model still charges the stage.
-uint64_t TransformBytes(const ChunkPtr& chunk) {
-  const std::vector<uint8_t>& src = WireSource(chunk);
-  return src.empty() ? chunk->bytes() : src.size();
-}
-
 }  // namespace
 
 uint64_t WireChecksum(const std::vector<uint8_t>& data) {
@@ -65,9 +52,7 @@ sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
   // span, which itself nests under fetch.
   chunk->ctx = span.context();
   Result<std::vector<fslib::ParsedEntry>> parsed =
-      env.materialize_data
-          ? fslib::LogArea::ParseChunkImage(chunk->image, chunk->from)
-          : env.log->ParseRange(chunk->from, chunk->to);
+      env.log->ParsePayload(*chunk->image, chunk->from);
   uint64_t n = parsed.ok() ? parsed->size() : 1;
   uint64_t cycles = env.costs->validate_entry_cycles * n +
                     static_cast<uint64_t>(env.costs->validate_cycles_per_byte *
@@ -103,7 +88,7 @@ const Stage::Info& CompressStage::info() const {
 
 sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
                                    const ChunkPtr& chunk) {
-  if (chunk->failed || !env.materialize_data || chunk->image.empty()) {
+  if (chunk->failed || chunk->wire->bytes.empty()) {
     co_return;
   }
   obs::Span span(env.trace, env.component, "compress", where.node, chunk->client,
@@ -119,7 +104,8 @@ sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
                                            where.account));
   }
   co_await sim::AwaitAll(env.engine, std::move(shards));
-  chunk->wire = compress::LzwCompress(chunk->image);
+  chunk->wire = std::make_shared<const fslib::Payload>(
+      fslib::Payload{compress::LzwCompress(chunk->wire->bytes), {}});
   chunk->wire_compressed = true;
 }
 
@@ -140,11 +126,10 @@ sim::Task<> ChecksumStage::Process(StageEnv& env, const Placement& where,
                  chunk->no, chunk->ctx);
   co_await where.pool->RunCycles(
       static_cast<uint64_t>(env.costs->checksum_cycles_per_byte *
-                            static_cast<double>(TransformBytes(chunk))),
+                            static_cast<double>(chunk->wire_bytes())),
       ChunkPriority(chunk), where.account);
-  const std::vector<uint8_t>& src = WireSource(chunk);
-  if (env.materialize_data && !src.empty()) {
-    chunk->wire_checksum = WireChecksum(src);
+  if (!chunk->wire->bytes.empty()) {
+    chunk->wire_checksum = WireChecksum(chunk->wire->bytes);
     chunk->wire_checksummed = true;
   }
 }
@@ -166,16 +151,12 @@ sim::Task<> XorEncryptStage::Process(StageEnv& env, const Placement& where,
                  chunk->no, chunk->ctx);
   co_await where.pool->RunCycles(
       static_cast<uint64_t>(env.costs->encrypt_cycles_per_byte *
-                            static_cast<double>(TransformBytes(chunk))),
+                            static_cast<double>(chunk->wire_bytes())),
       ChunkPriority(chunk), where.account);
-  if (!env.materialize_data) {
-    co_return;
-  }
-  if (chunk->wire.empty() && !chunk->image.empty()) {
-    chunk->wire = chunk->image;  // First transform: start from the raw image.
-  }
-  if (!chunk->wire.empty()) {
-    XorCipher(&chunk->wire);
+  if (!chunk->wire->bytes.empty()) {
+    auto scrambled = std::make_shared<fslib::Payload>(fslib::Payload{chunk->wire->bytes, {}});
+    XorCipher(&scrambled->bytes);
+    chunk->wire = std::move(scrambled);
     chunk->wire_encrypted = true;
   }
 }

@@ -11,8 +11,12 @@
 //  - Process() is a coroutine that transforms one chunk in place. It charges
 //    compute to `where.pool` (never a hard-coded NIC), so a relocated worker
 //    automatically bills the right complex.
-//  - Stages must tolerate elided payloads (materialize_data=false): charge
-//    the modelled cycles, skip the byte transform.
+//  - A chunk carries one shared, immutable fslib::Payload (`image`, and
+//    `wire` for what is sent). A stage that changes bytes allocates a new
+//    payload and points `wire` at it; every other stage only reads. There is
+//    no materialize switch here: with elided data the payload has no bytes,
+//    so a byte transform finds nothing to do and the stage just charges its
+//    modelled cycles.
 //  - Optional stages may be skipped entirely under backpressure (the generic
 //    worker's bypass, §3.3.2 generalized); required stages may not.
 //  - Order within one chunk is the configured chain order; cross-chunk order
@@ -56,7 +60,6 @@ struct Placement {
 struct StageEnv {
   sim::Engine* engine = nullptr;
   const hw::FsCosts* costs = nullptr;
-  bool materialize_data = true;
   bool coalescing = false;
   int compression_threads = 1;
   int node = 0;                  // Home node of the pipe (trace lane).

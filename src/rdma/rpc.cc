@@ -19,10 +19,12 @@ struct CallState {
 
 sim::Task<> InvokeHandler(RpcEndpoint* endpoint, sim::Priority priority,
                           RpcEndpoint::GenericHandler* handler, std::vector<uint8_t> request,
-                          std::shared_ptr<CallState> state, const hw::RdmaCosts* costs) {
+                          Attachment attachment, std::shared_ptr<CallState> state,
+                          const hw::RdmaCosts* costs) {
   // Receiver-side completion processing, then the handler body.
   co_await endpoint->cpu()->RunCycles(costs->completion_cycles, priority, endpoint->account());
-  std::vector<uint8_t> response = co_await (*handler)(std::move(request));
+  std::vector<uint8_t> response =
+      co_await (*handler)(std::move(request), std::move(attachment));
   if (!state->done) {
     state->done = true;
     state->response = std::move(response);
@@ -43,12 +45,14 @@ sim::Task<> CallTimer(sim::Engine* engine, sim::Time timeout,
 // then the handler body. The handler's synthesized response is discarded.
 sim::Task<> DeliverPosted(sim::Engine* engine, RpcEndpoint* endpoint, bool polled,
                           sim::Priority priority, RpcEndpoint::GenericHandler* handler,
-                          std::vector<uint8_t> request, const hw::RdmaCosts* costs) {
+                          std::vector<uint8_t> request, Attachment attachment,
+                          const hw::RdmaCosts* costs) {
   if (!polled) {
     co_await engine->SleepFor(costs->event_wakeup);
   }
   co_await endpoint->cpu()->RunCycles(costs->completion_cycles, priority, endpoint->account());
-  std::vector<uint8_t> response = co_await (*handler)(std::move(request));
+  std::vector<uint8_t> response =
+      co_await (*handler)(std::move(request), std::move(attachment));
   (void)response;
 }
 
@@ -81,7 +85,8 @@ sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& call
                                                            Channel channel, uint32_t method,
                                                            std::vector<uint8_t> request,
                                                            sim::Time timeout,
-                                                           obs::TraceContext trace_ctx) {
+                                                           obs::TraceContext trace_ctx,
+                                                           Attachment attachment) {
   sim::Engine* engine = network_->engine();
   const hw::RdmaCosts& costs = network_->costs();
   sim::Time deadline = engine->Now() + timeout;
@@ -140,7 +145,8 @@ sim::Task<Result<std::vector<uint8_t>>> RpcSystem::CallRaw(const Initiator& call
   // state keeps everything alive and its result is dropped.
   auto state = std::make_shared<CallState>(engine);
   engine->Spawn(InvokeHandler(endpoint, handler_priority, &handler_it->second,
-                              std::move(request), state, &network_->costs()));
+                              std::move(request), std::move(attachment), state,
+                              &network_->costs()));
   engine->Spawn(CallTimer(engine, timeout, state), "rpc.timer");
   co_await state->completed.Wait();
   if (!state->response.ok() && state->response.code() == ErrorCode::kTimeout) {
@@ -175,7 +181,7 @@ sim::Task<Status> RpcSystem::PostRaw(const Initiator& caller, MemAddr caller_add
                                      const std::string& target, Channel channel,
                                      uint32_t method, std::vector<uint8_t> request,
                                      sim::Time timeout, obs::TraceContext trace_ctx,
-                                     std::function<void()> on_wire) {
+                                     std::function<void()> on_wire, Attachment attachment) {
   sim::Engine* engine = network_->engine();
   const hw::RdmaCosts& costs = network_->costs();
   // Fires exactly once: the message crossed the wire (or the transport gave
@@ -238,7 +244,7 @@ sim::Task<Status> RpcSystem::PostRaw(const Initiator& caller, MemAddr caller_add
   sim::Priority priority =
       polled ? sim::Priority::kRealtime : endpoint->dispatch_priority();
   engine->Spawn(DeliverPosted(engine, endpoint, polled, priority, &handler_it->second,
-                              std::move(request), &network_->costs()));
+                              std::move(request), std::move(attachment), &network_->costs()));
 
   // Sender-side send completion: the message is on the receiver's QP; handler
   // execution is invisible from here. Batched sends are swept by the batch

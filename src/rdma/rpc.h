@@ -61,11 +61,18 @@ T FromBytes(const std::vector<uint8_t>& bytes) {
 
 class RpcSystem;
 
+// Bulk data that rides along with one message: the bytes its sender already
+// moved with a one-sided RDMA write, whose wire cost is charged separately.
+// The handler receives it as sent. It is never serialized and never counted
+// in the message size, and it is lost with the message when the fabric drops
+// it. The receiver knows the concrete type from the method.
+using Attachment = std::shared_ptr<const void>;
+
 // One RPC-serving identity. Handlers execute on the endpoint's CPU pool.
 class RpcEndpoint {
  public:
-  using GenericHandler =
-      std::function<sim::Task<std::vector<uint8_t>>(std::vector<uint8_t> request)>;
+  using GenericHandler = std::function<sim::Task<std::vector<uint8_t>>(
+      std::vector<uint8_t> request, Attachment attachment)>;
 
   RpcEndpoint(RpcSystem* system, std::string name, MemAddr addr, sim::CpuPool* cpu, int account,
               bool has_low_lat_poller);
@@ -75,13 +82,22 @@ class RpcEndpoint {
   void SetDispatchPriority(sim::Priority priority) { dispatch_priority_ = priority; }
   sim::Priority dispatch_priority() const { return dispatch_priority_; }
 
-  // Registers a typed handler for `method`.
+  // Registers a typed handler for `method`; the second form also receives the
+  // message's attachment (null when the sender attached nothing).
   template <typename Req, typename Resp>
   void Handle(uint32_t method, std::function<sim::Task<Resp>(Req)> handler) {
+    Handle<Req, Resp>(method, std::function<sim::Task<Resp>(Req, Attachment)>(
+                                  [handler = std::move(handler)](Req req, Attachment) {
+                                    return handler(std::move(req));
+                                  }));
+  }
+  template <typename Req, typename Resp>
+  void Handle(uint32_t method, std::function<sim::Task<Resp>(Req, Attachment)> handler) {
     handlers_[method] = [handler = std::move(handler)](
-                            std::vector<uint8_t> request) -> sim::Task<std::vector<uint8_t>> {
+                            std::vector<uint8_t> request,
+                            Attachment attachment) -> sim::Task<std::vector<uint8_t>> {
       Req req = internal::FromBytes<Req>(request);
-      Resp resp = co_await handler(std::move(req));
+      Resp resp = co_await handler(std::move(req), std::move(attachment));
       co_return internal::ToBytes(resp);
     };
   }
@@ -137,16 +153,16 @@ class RpcSystem {
   // Typed call. `caller` identifies the client side (CPU costs + wire source);
   // the response is delivered after the handler completes. Returns
   // kUnavailable if the target is missing/dead past `timeout`, kInvalid for an
-  // unknown method.
+  // unknown method. `attachment` is handed to the handler with the request.
   template <typename Req, typename Resp>
   sim::Task<Result<Resp>> Call(const Initiator& caller, MemAddr caller_addr,
                                const std::string& target, Channel channel, uint32_t method,
                                Req request, sim::Time timeout = 10 * sim::kMillisecond,
-                               obs::TraceContext trace_ctx = {}) {
+                               obs::TraceContext trace_ctx = {}, Attachment attachment = {}) {
     std::vector<uint8_t> req_bytes = internal::ToBytes(request);
     Result<std::vector<uint8_t>> resp =
         co_await CallRaw(caller, caller_addr, target, channel, method, std::move(req_bytes),
-                         timeout, trace_ctx);
+                         timeout, trace_ctx, std::move(attachment));
     if (!resp.ok()) {
       co_return resp.status();
     }
@@ -157,7 +173,8 @@ class RpcSystem {
                                                   const std::string& target, Channel channel,
                                                   uint32_t method, std::vector<uint8_t> request,
                                                   sim::Time timeout,
-                                                  obs::TraceContext trace_ctx = {});
+                                                  obs::TraceContext trace_ctx = {},
+                                                  Attachment attachment = {});
 
   // One-way send (no response round trip). The handler registered for
   // `method` still runs on the receiver — its synthesized response is
@@ -178,22 +195,24 @@ class RpcSystem {
   // serialising submission order (e.g. a chunk's bulk write + control send)
   // can release its order lock there and overlap its own completion
   // processing with the next submission, as a real ordered QP does.
+  //
+  // `attachment` reaches the handler exactly as in Call().
   template <typename Req>
   sim::Task<Status> Post(const Initiator& caller, MemAddr caller_addr, const std::string& target,
                          Channel channel, uint32_t method, Req request,
                          sim::Time timeout = 10 * sim::kMillisecond,
                          obs::TraceContext trace_ctx = {},
-                         std::function<void()> on_wire = {}) {
+                         std::function<void()> on_wire = {}, Attachment attachment = {}) {
     co_return co_await PostRaw(caller, caller_addr, target, channel, method,
                                internal::ToBytes(request), timeout, trace_ctx,
-                               std::move(on_wire));
+                               std::move(on_wire), std::move(attachment));
   }
 
   sim::Task<Status> PostRaw(const Initiator& caller, MemAddr caller_addr,
                             const std::string& target, Channel channel, uint32_t method,
                             std::vector<uint8_t> request, sim::Time timeout,
                             obs::TraceContext trace_ctx = {},
-                            std::function<void()> on_wire = {});
+                            std::function<void()> on_wire = {}, Attachment attachment = {});
 
   Network* network() { return network_; }
 

@@ -429,6 +429,7 @@ TEST(LineFsTest, HostCrashSwitchesToIsolatedModeAndBack) {
   });
   harness.Drain(3 * sim::kSecond);
   EXPECT_GT(harness.cluster().nicfs(1)->stats().isolated_publishes, 0u);
+  EXPECT_EQ(harness.cluster().nicfs(1)->stats().isolated_entries, 1u);  // One crash, one entry.
 
   // Host recovers; the (stateless) kernel worker resumes and NICFS leaves
   // isolated mode.

@@ -127,6 +127,44 @@ TEST_F(RdmaTest, RpcRoundTripDeliversTypedMessages) {
   EXPECT_EQ(got, 42u);
 }
 
+TEST_F(RdmaTest, AttachmentRidesWithMessageAndIsLostWithIt) {
+  RpcEndpoint* ep = rpc_->CreateEndpoint("att/1", MemAddr{1, Space::kHostPm},
+                                         &raw_[1]->host_cpu(), raw_[1]->acct_fs(), false);
+  std::vector<uint64_t> seen;  // Attached value per delivery; 0 = none.
+  ep->Handle<TestReq, TestResp>(
+      1, [&seen](TestReq req, Attachment attachment) -> sim::Task<TestResp> {
+        seen.push_back(attachment ? *std::static_pointer_cast<const uint64_t>(attachment) : 0);
+        co_return TestResp{req.value};
+      });
+  auto bulk = std::make_shared<const uint64_t>(7);
+  engine_.RunToCompletion([](RdmaTest* t, std::shared_ptr<const uint64_t> bulk) -> sim::Task<> {
+    // Same wire cost with or without an attachment: it is not serialized.
+    sim::Time t0 = t->engine_.Now();
+    CO_ASSERT_OK((co_await t->rpc_->Call<TestReq, TestResp>(
+        t->HostInit(0), MemAddr{0, Space::kHostPm}, "att/1", Channel::kHighTput, 1,
+        TestReq{1})));
+    sim::Time bare = t->engine_.Now() - t0;
+    t0 = t->engine_.Now();
+    CO_ASSERT_OK((co_await t->rpc_->Call<TestReq, TestResp>(
+        t->HostInit(0), MemAddr{0, Space::kHostPm}, "att/1", Channel::kHighTput, 1,
+        TestReq{2}, 10 * sim::kMillisecond, {}, bulk)));
+    EXPECT_EQ(t->engine_.Now() - t0, bare);
+    CO_ASSERT_OK((co_await t->rpc_->Post(t->HostInit(0), MemAddr{0, Space::kHostPm}, "att/1",
+                                         Channel::kHighTput, 1, TestReq{3},
+                                         10 * sim::kMillisecond, {}, {}, bulk)));
+    // A dropped message takes its attachment with it.
+    t->rpc_->SetDropFilter([](int, int, Channel) { return true; });
+    Status dropped = co_await t->rpc_->Post(t->HostInit(0), MemAddr{0, Space::kHostPm},
+                                            "att/1", Channel::kHighTput, 1, TestReq{4},
+                                            10 * sim::kMillisecond, {}, {}, bulk);
+    EXPECT_FALSE(dropped.ok());
+    t->rpc_->ClearDropFilter();
+  }(this, bulk));
+  engine_.Run();
+  EXPECT_EQ(seen, (std::vector<uint64_t>{0, 7, 7}));
+  EXPECT_EQ(bulk.use_count(), 1);  // No delivery or drop kept a reference.
+}
+
 TEST_F(RdmaTest, LowLatencyChannelBeatsEventDispatch) {
   RpcEndpoint* polled = rpc_->CreateEndpoint("fast/1", MemAddr{1, Space::kNicMem},
                                              &raw_[1]->nic().cpu(),

@@ -1,7 +1,7 @@
-// Replication-protocol API (ISSUE 7): registry and protocol-object units,
-// config validation of the new ReplConfig group (including the deprecated
-// flat-knob shim), and a cluster-level conformance suite that runs the same
-// replicate/agree/failure invariants against every registered protocol.
+// Replication-protocol API: registry and protocol-object units, config
+// validation of the ReplConfig group, and a cluster-level conformance suite
+// that runs the same replicate/agree/failure invariants against every
+// registered protocol.
 
 #include <gtest/gtest.h>
 
@@ -210,34 +210,6 @@ TEST(ReplConfigValidateTest, BlockingProtocolRejectsOpenWindow) {
   // Default transfer_window=4 contradicts the blocking round-trip schedule.
   EXPECT_FALSE(config.Validate().ok());
   config.repl.transfer_window = 1;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(ReplConfigValidateTest, DeprecatedFlatKnobsFoldIntoReplConfig) {
-  DfsConfig config = ValidConfig();
-  config.transfer_window = 8;
-  config.fetch_depth = 2;
-  EXPECT_TRUE(config.Validate().ok());
-  ASSERT_TRUE(config.Normalize().ok());
-  EXPECT_EQ(config.repl.transfer_window, 8);
-  EXPECT_EQ(config.repl.fetch_depth, 2);
-  // The flat aliases are consumed: a second Normalize is a no-op.
-  EXPECT_EQ(config.transfer_window, 0);
-  EXPECT_EQ(config.fetch_depth, 0);
-  ASSERT_TRUE(config.Normalize().ok());
-  EXPECT_EQ(config.repl.transfer_window, 8);
-}
-
-TEST(ReplConfigValidateTest, ContradictoryFlatAndGroupedKnobsRejected) {
-  DfsConfig config = ValidConfig();
-  config.transfer_window = 8;
-  config.repl.transfer_window = 2;  // Explicit non-default: contradiction.
-  Status st = config.Validate();
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("contradicts"), std::string::npos) << st.ToString();
-
-  // Agreeing values are tolerated (common in configs mid-migration).
-  config.repl.transfer_window = 8;
   EXPECT_TRUE(config.Validate().ok());
 }
 
