@@ -100,54 +100,71 @@ std::optional<Extent> ExtentList::Lookup(const Inode& inode, uint64_t lblock) co
 
 void ExtentList::InsertInto(std::vector<Extent>* extents, uint64_t lblock, uint64_t count,
                             uint64_t pblock, std::vector<Extent>* freed) {
+  std::vector<Extent>& list = *extents;
   uint64_t lend = lblock + count;
-  std::vector<Extent> result;
-  result.reserve(extents->size() + 2);
-  for (const Extent& e : *extents) {
-    uint64_t e_end = e.lblock + e.count;
-    if (e_end <= lblock || e.lblock >= lend) {
-      result.push_back(e);  // No overlap.
-      continue;
-    }
-    // Left remainder survives.
-    if (e.lblock < lblock) {
-      result.push_back(Extent{e.lblock, lblock - e.lblock, e.pblock});
-    }
-    // Overlapped middle is replaced: report freed physical blocks.
-    if (freed != nullptr) {
-      uint64_t ov_start = std::max(e.lblock, lblock);
-      uint64_t ov_end = std::min(e_end, lend);
-      freed->push_back(
-          Extent{ov_start, ov_end - ov_start, e.pblock + (ov_start - e.lblock)});
-    }
-    // Right remainder survives.
-    if (e_end > lend) {
-      result.push_back(Extent{lend, e_end - lend, e.pblock + (lend - e.lblock)});
+  // The list is sorted and disjoint, so starts and ends both ascend: [lo, hi)
+  // is exactly the run of extents overlapping [lblock, lend).
+  auto lo = std::partition_point(list.begin(), list.end(),
+                                 [&](const Extent& e) { return e.lblock + e.count <= lblock; });
+  auto hi = std::partition_point(lo, list.end(),
+                                 [&](const Extent& e) { return e.lblock < lend; });
+  // Overlapped middles are replaced: report freed physical blocks.
+  if (freed != nullptr) {
+    for (auto it = lo; it != hi; ++it) {
+      uint64_t ov_start = std::max(it->lblock, lblock);
+      uint64_t ov_end = std::min(it->lblock + it->count, lend);
+      freed->push_back(Extent{ov_start, ov_end - ov_start, it->pblock + (ov_start - it->lblock)});
     }
   }
-  // Insert the new run in sorted position, merging with adjacent runs when
-  // both logical and physical blocks are contiguous.
+  // Build the (at most 3) runs that replace [first, last): the surviving left
+  // remainder, the new run, the surviving right remainder. The new run merges
+  // with its neighbour on either side when both logical and physical blocks
+  // are contiguous; a neighbour outside the overlap widens [first, last).
+  auto contiguous = [](const Extent& a, const Extent& b) {
+    return a.lblock + a.count == b.lblock && a.pblock + a.count == b.pblock;
+  };
+  Extent runs[3];
+  size_t n = 0;
   Extent fresh{lblock, count, pblock};
-  auto pos = std::lower_bound(result.begin(), result.end(), fresh.lblock,
-                              [](const Extent& e, uint64_t v) { return e.lblock < v; });
-  pos = result.insert(pos, fresh);
-  // Merge with predecessor.
-  if (pos != result.begin()) {
-    auto prev = pos - 1;
-    if (prev->lblock + prev->count == pos->lblock && prev->pblock + prev->count == pos->pblock) {
-      prev->count += pos->count;
-      pos = result.erase(pos) - 1;
+  auto first = lo;
+  auto last = hi;
+  if (lo != hi && lo->lblock < lblock) {
+    Extent left{lo->lblock, lblock - lo->lblock, lo->pblock};
+    if (contiguous(left, fresh)) {
+      fresh = Extent{left.lblock, left.count + fresh.count, left.pblock};
+    } else {
+      runs[n++] = left;
     }
+  } else if (first != list.begin() && contiguous(*(first - 1), fresh)) {
+    --first;
+    fresh = Extent{first->lblock, first->count + fresh.count, first->pblock};
   }
-  // Merge with successor.
-  if (pos + 1 != result.end()) {
-    auto next = pos + 1;
-    if (pos->lblock + pos->count == next->lblock && pos->pblock + pos->count == next->pblock) {
-      pos->count += next->count;
-      result.erase(next);
+  std::optional<Extent> right;
+  if (lo != hi && (hi - 1)->lblock + (hi - 1)->count > lend) {
+    const Extent& e = *(hi - 1);
+    right = Extent{lend, e.lblock + e.count - lend, e.pblock + (lend - e.lblock)};
+    if (contiguous(fresh, *right)) {
+      fresh.count += right->count;
+      right.reset();
     }
+  } else if (last != list.end() && contiguous(fresh, *last)) {
+    fresh.count += last->count;
+    ++last;
   }
-  *extents = std::move(result);
+  runs[n++] = fresh;
+  if (right.has_value()) {
+    runs[n++] = *right;
+  }
+  // Splice: overwrite in place, then erase or insert the difference. An
+  // append that extends the last extent is one overwrite.
+  size_t replaced = static_cast<size_t>(last - first);
+  size_t shared = std::min(n, replaced);
+  auto tail = std::copy(runs, runs + shared, first);
+  if (n < replaced) {
+    list.erase(tail, last);
+  } else if (n > replaced) {
+    list.insert(tail, runs + shared, runs + n);
+  }
 }
 
 Status ExtentList::InsertRange(Inode* inode, uint64_t lblock, uint64_t count, uint64_t pblock,

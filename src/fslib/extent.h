@@ -5,8 +5,11 @@
 // Mutating operations use load/modify/store of the chain: with log-structured
 // publication, files end up with few large extents (sequential 4MB chunks
 // coalesce), so chains are short and the simple representation is both robust
-// and fast. Overwrites are copy-on-write: InsertRange() carves out any
-// overlapped old runs and reports them so the caller can free the blocks.
+// and fast. Publication rewrites the chain once per run of consecutive data
+// entries for one inode (PublicFs::CommitPublish): it loads the list, splices
+// every entry's runs into it in memory with InsertInto(), and stores it once.
+// Data overwrites are copy-on-write: InsertInto() carves out any overlapped
+// old runs and reports them so the caller can free the blocks.
 
 #ifndef SRC_FSLIB_EXTENT_H_
 #define SRC_FSLIB_EXTENT_H_
@@ -57,6 +60,9 @@ class ExtentList {
 
   // In-memory helpers (also used on already-loaded lists).
   static std::optional<Extent> LookupIn(const std::vector<Extent>& extents, uint64_t lblock);
+  // Splices [lblock, lblock+count) -> pblock into the sorted list in place:
+  // O(log n) to find the overlap, no allocation for an append that extends
+  // or follows the last extent.
   static void InsertInto(std::vector<Extent>* extents, uint64_t lblock, uint64_t count,
                          uint64_t pblock, std::vector<Extent>* freed);
 

@@ -9,6 +9,12 @@ namespace linefs::fslib {
 struct PublicFs::PlanContext {
   std::unordered_map<InodeNum, std::vector<Extent>> extents;
   std::unordered_map<InodeNum, uint64_t> sizes;
+  // Partial last blocks that a truncate earlier in this batch keeps mapped,
+  // by physical block, with the first in-block byte the commit zeroes. The
+  // commit zeroes them only after every copy of the batch has run, so copies
+  // planned from them read zeros there instead. Planning never frees a
+  // block, so a block found in a view is still the one the truncate cut.
+  std::unordered_map<uint64_t, uint64_t> zeroed_from;
 
   // Loads the planning view of an inode (PM state overlaid with earlier
   // entries of this batch).
@@ -24,6 +30,30 @@ struct PublicFs::PlanContext {
       extents[inum] = {};
       sizes[inum] = 0;
     }
+  }
+
+  // Plans the copy that preserves in-block bytes [begin, end) of `lblock`
+  // into the fresh block at region offset `dst_block`: the old bytes where
+  // the view maps the block, zeros where it does not or a truncate cut them.
+  void PlanPreserve(InodeNum inum, uint64_t lblock, uint64_t begin, uint64_t end,
+                    uint64_t dst_block, PublishPlan* plan) const {
+    std::optional<Extent> old = ExtentList::LookupIn(extents.at(inum), lblock);
+    uint64_t zero_from = old.has_value() ? end : begin;
+    if (old.has_value()) {
+      auto cut = zeroed_from.find(old->pblock);
+      if (cut != zeroed_from.end()) {
+        zero_from = std::clamp(cut->second, begin, end);
+      }
+    }
+    if (zero_from > begin) {
+      plan->copies.push_back(CopyOp{CopyOp::Kind::kOldBlock, (old->pblock << kBlockShift) + begin,
+                                    dst_block + begin, zero_from - begin});
+    }
+    if (end > zero_from) {
+      plan->copies.push_back(
+          CopyOp{CopyOp::Kind::kZero, 0, dst_block + zero_from, end - zero_from});
+    }
+    plan->copy_bytes += end - begin;
   }
 };
 
@@ -122,6 +152,12 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
           }
         }
         view = std::move(kept);
+        uint64_t in_block = new_size & (kBlockSize - 1);
+        std::optional<Extent> tail = ExtentList::LookupIn(view, new_size >> kBlockShift);
+        if (in_block != 0 && tail.has_value()) {
+          auto cut = ctx.zeroed_from.emplace(tail->pblock, in_block).first;
+          cut->second = std::min(cut->second, in_block);
+        }
         ctx.sizes[h.inum] = new_size;
         per.new_size = new_size;
         break;
@@ -145,27 +181,13 @@ Result<PublishPlan> PublicFs::PlanPublish(const std::vector<ParsedEntry>& parsed
         // Head partial block: preserve bytes before `off` within the block.
         uint64_t head_gap = off & (kBlockSize - 1);
         if (head_gap != 0) {
-          std::optional<Extent> old = ExtentList::LookupIn(view, first_lb);
-          CopyOp op;
-          op.kind = old.has_value() ? CopyOp::Kind::kOldBlock : CopyOp::Kind::kZero;
-          op.src_off = old.has_value() ? old->pblock << kBlockShift : 0;
-          op.dst_off = new_base;
-          op.len = head_gap;
-          plan.copies.push_back(op);
-          plan.copy_bytes += op.len;
+          ctx.PlanPreserve(h.inum, first_lb, 0, head_gap, new_base, &plan);
         }
         // Tail partial block: preserve bytes after off+len within the block.
         uint64_t tail_gap = (off + len) & (kBlockSize - 1);
         if (tail_gap != 0) {
-          std::optional<Extent> old = ExtentList::LookupIn(view, last_lb);
-          CopyOp op;
-          op.kind = old.has_value() ? CopyOp::Kind::kOldBlock : CopyOp::Kind::kZero;
-          op.src_off =
-              old.has_value() ? (old->pblock << kBlockShift) + tail_gap : 0;
-          op.dst_off = new_base + (nblocks - 1) * kBlockSize + tail_gap;
-          op.len = kBlockSize - tail_gap;
-          plan.copies.push_back(op);
-          plan.copy_bytes += op.len;
+          ctx.PlanPreserve(h.inum, last_lb, tail_gap, kBlockSize,
+                           new_base + (nblocks - 1) * kBlockSize, &plan);
         }
         // Payload bytes.
         CopyOp payload;
@@ -289,10 +311,41 @@ Status PublicFs::ApplyNamespaceOp(const ParsedEntry& entry) {
 
 Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<ParsedEntry>& parsed) {
   assert(plan.entries.size() == parsed.size());
+  // The open run: consecutive data entries of one inode commit into one
+  // in-memory extent list and inode, written back once when the run ends.
+  struct Run {
+    bool open = false;
+    Inode inode;
+    std::vector<Extent> extents;
+    std::vector<Extent> freed;
+  } run;
+  auto flush = [&]() -> Status {
+    if (!run.open) {
+      return Status::Ok();
+    }
+    run.open = false;
+    Status st = extents_.Store(&run.inode, run.extents);
+    if (!st.ok()) {
+      return st;
+    }
+    for (const Extent& e : run.freed) {
+      allocator_.Free(e.pblock, e.count);
+    }
+    run.freed.clear();
+    inodes_.Put(run.inode);
+    return Status::Ok();
+  };
+
   for (size_t i = 0; i < parsed.size(); ++i) {
     const ParsedEntry& entry = parsed[i];
     const PublishPlan::PerEntry& per = plan.entries[i];
     const LogEntryHeader& h = entry.header;
+    if (run.open && (h.type != LogOpType::kData || h.inum != run.inode.inum)) {
+      Status st = flush();
+      if (!st.ok()) {
+        return st;
+      }
+    }
     switch (h.type) {
       case LogOpType::kCreate:
       case LogOpType::kMkdir:
@@ -306,25 +359,21 @@ Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<Parsed
         break;
       }
       case LogOpType::kData: {
-        Result<Inode> inode = inodes_.Get(h.inum);
-        if (!inode.ok()) {
-          return inode.status();
-        }
-        std::vector<Extent> freed;
-        for (const PublishPlan::Segment& seg : per.segments) {
-          Status st = extents_.InsertRange(&inode.value(), seg.lblock, seg.nblocks, seg.pblock,
-                                           &freed);
-          if (!st.ok()) {
-            return st;
+        if (!run.open) {
+          Result<Inode> inode = inodes_.Get(h.inum);
+          if (!inode.ok()) {
+            return inode.status();
           }
+          run.inode = *inode;
+          run.extents = extents_.Load(run.inode);
+          run.open = true;
         }
-        for (const Extent& e : freed) {
-          allocator_.Free(e.pblock, e.count);
+        for (const PublishPlan::Segment& seg : per.segments) {
+          ExtentList::InsertInto(&run.extents, seg.lblock, seg.nblocks, seg.pblock, &run.freed);
         }
         // The plan tracked the running size through the whole batch (including
         // interleaved truncates), so it is authoritative.
-        inode->size = per.new_size;
-        inodes_.Put(*inode);
+        run.inode.size = per.new_size;
         published_bytes_ += h.payload_len;
         break;
       }
@@ -362,7 +411,7 @@ Status PublicFs::CommitPublish(const PublishPlan& plan, const std::vector<Parsed
     }
     ++published_entries_;
   }
-  return Status::Ok();
+  return flush();
 }
 
 Status PublicFs::Publish(const std::vector<ParsedEntry>& parsed, const LogArea& log,
@@ -457,17 +506,25 @@ uint64_t CoalesceEntries(std::vector<ParsedEntry>* entries) {
   }
 
   // Pass 2: a data write fully superseded by a later write of the same exact
-  // range is skipped (temporarily durable data).
-  std::unordered_map<uint64_t, size_t> last_writer;  // (inum,offset,len) -> idx
+  // range is skipped (temporarily durable data). Ranges are compared exactly,
+  // so two different writes whose hashes collide are both kept.
+  struct Range {
+    InodeNum inum;
+    uint64_t offset;
+    uint32_t len;
+    bool operator==(const Range&) const = default;
+  };
+  struct RangeHash {
+    size_t operator()(const Range& r) const { return r.inum * 1000003 ^ r.offset * 31 ^ r.len; }
+  };
+  std::unordered_set<Range, RangeHash> written_later;
   for (size_t i = entries->size(); i > 0; --i) {
     size_t idx = i - 1;
     const LogEntryHeader& h = (*entries)[idx].header;
     if (h.type != LogOpType::kData || drop[idx]) {
       continue;
     }
-    uint64_t key = h.inum * 1000003 ^ h.offset * 31 ^ h.payload_len;
-    auto [it, inserted] = last_writer.emplace(key, idx);
-    if (!inserted) {
+    if (!written_later.insert(Range{h.inum, h.offset, h.payload_len}).second) {
       drop[idx] = true;  // A later entry overwrites the same range.
       eliminated += h.payload_len;
     }

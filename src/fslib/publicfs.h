@@ -83,6 +83,13 @@ class PublicFs {
   // (benchmark mode); allocation and metadata stay fully real.
   void ExecuteCopies(const PublishPlan& plan, bool materialize);
 
+  // Applies the batch's metadata in entry order. Synchronous: it never
+  // suspends, so no crash, fault or reader sees a state between two entries.
+  // A run of consecutive data entries for one inode shares one inode read,
+  // one extent-list load and, when the run ends, one chain rewrite, one free
+  // of the replaced blocks and one inode write. A run ends before any other
+  // entry type, before a data entry of another inode, and at the end of the
+  // batch, so namespace ops and truncates see committed state.
   Status CommitPublish(const PublishPlan& plan, const std::vector<ParsedEntry>& parsed);
 
   // Convenience: plan + copy + commit in one step (host-side digestion and

@@ -3,16 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/fslib/extent.h"
 #include "src/fslib/index.h"
 #include "src/fslib/layout.h"
 #include "src/fslib/oplog.h"
 #include "src/fslib/publicfs.h"
 #include "src/fslib/validate.h"
 #include "src/pmem/region.h"
+#include "src/sim/random.h"
 
 namespace linefs::fslib {
 namespace {
@@ -218,6 +222,37 @@ TEST_F(PublicFsTest, TruncateShrinksAndFrees) {
   EXPECT_GT(fs_.allocator().free_blocks(), free_mid);
 }
 
+TEST_F(PublicFsTest, TruncateThenPartialWriteInOneBatchReadsZeros) {
+  // The truncate zeroes its partial last block at commit, after every copy of
+  // the batch; a later partial write to that block must still read zeros
+  // between the new end and its own bytes, as when published one by one.
+  std::vector<ParsedEntry> setup;
+  setup.push_back(AppendCreate(kRootInode, "tz", 125));
+  std::vector<uint8_t> base = Pattern(2 * kBlockSize, 3);
+  setup.push_back(AppendData(125, 0, base));
+  ASSERT_TRUE(fs_.Publish(setup, log_, true).ok());
+
+  LogEntryHeader h;
+  h.type = LogOpType::kTruncate;
+  h.inum = 125;
+  h.offset = 100;
+  std::vector<ParsedEntry> batch;
+  batch.push_back(Append(h, {}));
+  std::vector<uint8_t> patch = Pattern(10, 50);
+  batch.push_back(AppendData(125, 200, patch));
+  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+
+  std::vector<uint8_t> expected(210, 0);
+  std::memcpy(expected.data(), base.data(), 100);
+  std::memcpy(expected.data() + 200, patch.data(), patch.size());
+  Result<FileAttr> attr = fs_.GetAttr(125);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->size, 210u);
+  std::vector<uint8_t> out(210);
+  ASSERT_TRUE(fs_.ReadData(125, 0, out).ok());
+  EXPECT_EQ(out, expected);
+}
+
 TEST_F(PublicFsTest, MountRebuildsAllocator) {
   std::vector<ParsedEntry> batch;
   batch.push_back(AppendCreate(kRootInode, "m", 130));
@@ -311,6 +346,314 @@ TEST_F(PublicFsTest, CoalescePreservesFinalStateOnRandomOps) {
   ASSERT_TRUE(fs_.ReadData(170, 0, out).ok());
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], model[i]) << "mismatch at " << i;
+  }
+}
+
+TEST_F(PublicFsTest, CoalesceKeepsWritesWhoseKeysCollide) {
+  // (off 0, len 30) and (off 1, len 1) of one inode hash alike under
+  // inum*1000003 ^ off*31 ^ len; neither supersedes the other.
+  std::vector<ParsedEntry> batch;
+  batch.push_back(AppendCreate(kRootInode, "k", 165));
+  std::vector<uint8_t> first = Pattern(30, 4);
+  std::vector<uint8_t> second = {0xAB};
+  batch.push_back(AppendData(165, 0, first));
+  batch.push_back(AppendData(165, 1, second));
+  EXPECT_EQ(CoalesceEntries(&batch), 0u);
+  ASSERT_EQ(batch.size(), 3u);
+  ASSERT_TRUE(fs_.Publish(batch, log_, true).ok());
+  Result<FileAttr> attr = fs_.GetAttr(165);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr->size, 30u);
+  std::vector<uint8_t> expected = first;
+  expected[1] = second[0];
+  std::vector<uint8_t> out(30);
+  ASSERT_TRUE(fs_.ReadData(165, 0, out).ok());
+  EXPECT_EQ(out, expected);
+}
+
+// One node's public area plus a client log, for comparing two publication
+// schedules of the same entries.
+struct PublishNode {
+  PublishNode()
+      : region(64 << 20), layout(Layout::Compute(64 << 20, SmallConfig())), fs(&region, layout),
+        log(&region, layout.LogOffset(0), layout.log_size, 0) {
+    fs.Mkfs();
+  }
+  ParsedEntry Append(const LogEntryHeader& h, const std::vector<uint8_t>& payload) {
+    Result<uint64_t> pos = log.Append(h, payload);
+    EXPECT_TRUE(pos.ok());
+    Result<std::vector<ParsedEntry>> entries = log.ParseRange(*pos, log.tail());
+    EXPECT_TRUE(entries.ok());
+    return entries->back();
+  }
+
+  pmem::Region region;
+  Layout layout;
+  PublicFs fs;
+  LogArea log;
+};
+
+// Asserts that `a` and `b` publish `inum` identically: existence, size,
+// bytes, and which logical blocks are mapped to which block contents.
+void ExpectSameFile(PublishNode& a, PublishNode& b, InodeNum inum) {
+  Result<FileAttr> attr_a = a.fs.GetAttr(inum);
+  Result<FileAttr> attr_b = b.fs.GetAttr(inum);
+  ASSERT_EQ(attr_a.ok(), attr_b.ok()) << "inode " << inum;
+  if (!attr_a.ok()) {
+    return;
+  }
+  ASSERT_EQ(attr_a->size, attr_b->size) << "inode " << inum;
+  std::vector<uint8_t> bytes_a(attr_a->size);
+  std::vector<uint8_t> bytes_b(attr_b->size);
+  ASSERT_TRUE(a.fs.ReadData(inum, 0, bytes_a).ok());
+  ASSERT_TRUE(b.fs.ReadData(inum, 0, bytes_b).ok());
+  ASSERT_EQ(bytes_a, bytes_b) << "inode " << inum;
+  Result<Inode> inode_a = a.fs.inodes().Get(inum);
+  Result<Inode> inode_b = b.fs.inodes().Get(inum);
+  ASSERT_TRUE(inode_a.ok() && inode_b.ok());
+  std::vector<Extent> map_a = a.fs.extents().Load(*inode_a);
+  std::vector<Extent> map_b = b.fs.extents().Load(*inode_b);
+  uint64_t blocks = BlocksFor(attr_a->size) + 2;
+  for (uint64_t lb = 0; lb < blocks; ++lb) {
+    std::optional<Extent> ea = ExtentList::LookupIn(map_a, lb);
+    std::optional<Extent> eb = ExtentList::LookupIn(map_b, lb);
+    ASSERT_EQ(ea.has_value(), eb.has_value()) << "inode " << inum << " lblock " << lb;
+    if (ea.has_value()) {
+      std::vector<uint8_t> block_a(kBlockSize);
+      std::vector<uint8_t> block_b(kBlockSize);
+      a.region.Read(ea->pblock << kBlockShift, block_a.data(), kBlockSize);
+      b.region.Read(eb->pblock << kBlockShift, block_b.data(), kBlockSize);
+      ASSERT_EQ(block_a, block_b) << "inode " << inum << " lblock " << lb;
+    }
+  }
+}
+
+TEST_F(PublicFsTest, RunCommitMatchesPerEntryCommit) {
+  // Property: committing a whole batch at once (runs of data entries for one
+  // inode share one extent rewrite) equals publishing it one entry at a time.
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    auto batched = std::make_unique<PublishNode>();
+    auto single = std::make_unique<PublishNode>();
+    std::vector<InodeNum> live;
+    std::vector<InodeNum> all;
+    std::vector<uint64_t> sizes(1024, 0);
+    InodeNum next_inum = 300;
+    for (int b = 0; b < 3; ++b) {
+      std::vector<ParsedEntry> batch_a;
+      std::vector<ParsedEntry> batch_b;
+      auto add = [&](const LogEntryHeader& h, const std::vector<uint8_t>& payload) {
+        batch_a.push_back(batched->Append(h, payload));
+        batch_b.push_back(single->Append(h, payload));
+      };
+      // Each batch works on 2-3 live inodes, creating them as needed.
+      size_t want = 2 + rng.Uniform(2);
+      while (live.size() < want) {
+        LogEntryHeader h;
+        h.type = LogOpType::kCreate;
+        h.inum = next_inum++;
+        h.parent = kRootInode;
+        h.ftype = FileType::kRegular;
+        std::string name = "r" + std::to_string(h.inum);
+        h.payload_len = static_cast<uint32_t>(name.size());
+        add(h, std::vector<uint8_t>(name.begin(), name.end()));
+        live.push_back(h.inum);
+        all.push_back(h.inum);
+      }
+      InodeNum current = live[rng.Uniform(live.size())];
+      for (int i = 0; i < 48; ++i) {
+        if (rng.Bernoulli(0.3)) {
+          current = live[rng.Uniform(live.size())];
+        }
+        uint64_t kind = rng.Uniform(100);
+        LogEntryHeader h;
+        h.inum = current;
+        if (kind < 80) {
+          // Data: sequential appends (runs that merge), unaligned overwrites
+          // and sparse writes.
+          uint64_t size = sizes[current];
+          uint64_t off;
+          uint64_t shape = rng.Uniform(3);
+          if (shape == 0) {
+            off = size;
+          } else if (shape == 1) {
+            off = rng.Uniform(size + 1);
+          } else {
+            off = size + rng.Uniform(3 * kBlockSize);
+          }
+          uint64_t len = rng.Bernoulli(0.5) ? kBlockSize : 1 + rng.Uniform(3 * kBlockSize);
+          std::vector<uint8_t> data(len);
+          for (uint8_t& byte : data) {
+            byte = static_cast<uint8_t>(rng.Next());
+          }
+          h.type = LogOpType::kData;
+          h.offset = off;
+          h.payload_len = static_cast<uint32_t>(len);
+          add(h, data);
+          sizes[current] = std::max(size, off + len);
+        } else if (kind < 90) {
+          h.type = LogOpType::kTruncate;
+          h.offset = rng.Uniform(sizes[current] + 1);
+          add(h, {});
+          sizes[current] = h.offset;
+        } else if (kind < 95 || live.size() < 2) {
+          h.type = LogOpType::kCreate;
+          h.inum = next_inum++;
+          h.parent = kRootInode;
+          h.ftype = FileType::kRegular;
+          std::string name = "r" + std::to_string(h.inum);
+          h.payload_len = static_cast<uint32_t>(name.size());
+          add(h, std::vector<uint8_t>(name.begin(), name.end()));
+          live.push_back(h.inum);
+          all.push_back(h.inum);
+        } else {
+          h.type = LogOpType::kUnlink;
+          h.parent = kRootInode;
+          std::string name = "r" + std::to_string(h.inum);
+          h.payload_len = static_cast<uint32_t>(name.size());
+          add(h, std::vector<uint8_t>(name.begin(), name.end()));
+          live.erase(std::find(live.begin(), live.end(), current));
+          current = live[rng.Uniform(live.size())];
+        }
+      }
+      ASSERT_TRUE(batched->fs.Publish(batch_a, batched->log, true).ok());
+      for (const ParsedEntry& entry : batch_b) {
+        ASSERT_TRUE(single->fs.Publish({entry}, single->log, true).ok());
+      }
+      for (InodeNum inum : all) {
+        ExpectSameFile(*batched, *single, inum);
+      }
+      // Remounting rebuilds the allocator from the live chains and extents;
+      // it must account for exactly the blocks the commit left allocated.
+      uint64_t live_free = batched->fs.allocator().free_blocks();
+      PublicFs remounted(&batched->region, batched->layout);
+      ASSERT_TRUE(remounted.Mount().ok());
+      EXPECT_EQ(remounted.allocator().free_blocks(), live_free);
+    }
+  }
+
+  // A 256-entry sequential run for one inode allocates its chain block once:
+  // the commit's only allocation lands right after the batch's data blocks.
+  std::vector<ParsedEntry> setup;
+  setup.push_back(AppendCreate(kRootInode, "seq", 210));
+  ASSERT_TRUE(fs_.Publish(setup, log_, true).ok());
+  std::vector<ParsedEntry> batch;
+  for (uint64_t i = 0; i < 256; ++i) {
+    batch.push_back(AppendData(210, i * kBlockSize, Pattern(kBlockSize, static_cast<uint8_t>(i))));
+  }
+  Result<PublishPlan> plan = fs_.PlanPublish(batch, log_);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->blocks_allocated, 256u);
+  uint64_t first_data = plan->entries[0].segments[0].pblock;
+  uint64_t free_after_plan = fs_.allocator().free_blocks();
+  fs_.ExecuteCopies(*plan, true);
+  ASSERT_TRUE(fs_.CommitPublish(*plan, batch).ok());
+  EXPECT_EQ(fs_.allocator().free_blocks(), free_after_plan - 1);
+  Result<Inode> inode = fs_.inodes().Get(210);
+  ASSERT_TRUE(inode.ok());
+  EXPECT_EQ(inode->extent_root, first_data + 256);
+  std::vector<Extent> extents = fs_.extents().Load(*inode);
+  ASSERT_EQ(extents.size(), 1u);
+  EXPECT_EQ(extents[0].count, 256u);
+}
+
+// The extent insert as a copy-and-rebuild over the whole list: the reference
+// the in-place splice must match, extent for extent and freed run for run.
+void ReferenceInsert(std::vector<Extent>* extents, uint64_t lblock, uint64_t count,
+                     uint64_t pblock, std::vector<Extent>* freed) {
+  uint64_t lend = lblock + count;
+  std::vector<Extent> result;
+  for (const Extent& e : *extents) {
+    uint64_t e_end = e.lblock + e.count;
+    if (e_end <= lblock || e.lblock >= lend) {
+      result.push_back(e);
+      continue;
+    }
+    if (e.lblock < lblock) {
+      result.push_back(Extent{e.lblock, lblock - e.lblock, e.pblock});
+    }
+    uint64_t ov_start = std::max(e.lblock, lblock);
+    uint64_t ov_end = std::min(e_end, lend);
+    freed->push_back(Extent{ov_start, ov_end - ov_start, e.pblock + (ov_start - e.lblock)});
+    if (e_end > lend) {
+      result.push_back(Extent{lend, e_end - lend, e.pblock + (lend - e.lblock)});
+    }
+  }
+  auto pos = std::lower_bound(result.begin(), result.end(), lblock,
+                              [](const Extent& e, uint64_t v) { return e.lblock < v; });
+  pos = result.insert(pos, Extent{lblock, count, pblock});
+  if (pos != result.begin()) {
+    auto prev = pos - 1;
+    if (prev->lblock + prev->count == pos->lblock && prev->pblock + prev->count == pos->pblock) {
+      prev->count += pos->count;
+      pos = result.erase(pos) - 1;
+    }
+  }
+  if (pos + 1 != result.end()) {
+    auto next = pos + 1;
+    if (pos->lblock + pos->count == next->lblock && pos->pblock + pos->count == next->pblock) {
+      pos->count += next->count;
+      result.erase(next);
+    }
+  }
+  *extents = std::move(result);
+}
+
+bool SameExtents(const std::vector<Extent>& a, const std::vector<Extent>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const Extent& x, const Extent& y) {
+    return x.lblock == y.lblock && x.count == y.count && x.pblock == y.pblock;
+  });
+}
+
+TEST(ExtentListTest, InPlaceInsertMatchesReference) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<Extent> spliced;
+    std::vector<Extent> reference;
+    uint64_t next_pblock = 1000;
+    for (int op = 0; op < 2000; ++op) {
+      if (op % 500 == 0) {
+        spliced.clear();
+        reference.clear();
+      }
+      uint64_t lblock;
+      uint64_t count = 1 + rng.Uniform(rng.Bernoulli(0.5) ? 4 : 64);
+      uint64_t pblock;
+      uint64_t shape = rng.Uniform(5);
+      const Extent* last = reference.empty() ? nullptr : &reference.back();
+      if (shape == 0 && last != nullptr) {
+        // Append that extends the last extent physically (merge).
+        lblock = last->lblock + last->count;
+        pblock = last->pblock + last->count;
+      } else if (shape == 1 && last != nullptr) {
+        // Logically adjacent append in a fresh physical run (no merge).
+        lblock = last->lblock + last->count;
+        pblock = next_pblock;
+      } else if (shape == 2 && !reference.empty()) {
+        // Rewrite inside an extent at its own physical offset: split, then
+        // merge back with both remainders.
+        const Extent& e = reference[rng.Uniform(reference.size())];
+        uint64_t delta = rng.Uniform(e.count);
+        lblock = e.lblock + delta;
+        count = 1 + rng.Uniform(e.count - delta);
+        pblock = e.pblock + delta;
+      } else {
+        // Arbitrary overwrite or sparse insert: overlaps and splits.
+        lblock = rng.Uniform(1024);
+        pblock = next_pblock;
+      }
+      next_pblock = std::max(next_pblock, pblock + count) + rng.Uniform(2);
+      std::vector<Extent> freed_spliced;
+      std::vector<Extent> freed_reference;
+      ExtentList::InsertInto(&spliced, lblock, count, pblock, &freed_spliced);
+      ReferenceInsert(&reference, lblock, count, pblock, &freed_reference);
+      ASSERT_TRUE(SameExtents(spliced, reference))
+          << "seed " << seed << " op " << op << " insert [" << lblock << "+" << count << "] -> "
+          << pblock;
+      ASSERT_TRUE(SameExtents(freed_spliced, freed_reference))
+          << "seed " << seed << " op " << op;
+    }
   }
 }
 
