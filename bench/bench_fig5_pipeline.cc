@@ -18,7 +18,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/harness.h"
-#include "src/pipeline/registry.h"
+#include "src/pipeline/stage.h"
 #include "src/workloads/microbench.h"
 
 namespace linefs::bench {
@@ -69,10 +69,10 @@ Breakdown Run() {
 
 // --- stage mix --------------------------------------------------------------------------
 //
-// Same workload as the breakdown, but with optional plugin stages composed
-// into the replication chain (DfsConfig::pipeline_stages). Informational in
-// the perf gate (new configs have no baseline); the table shows what each
-// plugin adds to per-chunk latency and where it queues.
+// Same workload as the breakdown, but with the optional checksum stage
+// composed into the replication chain (DfsConfig::pipeline_stages).
+// Informational in the perf gate; the table shows what the stage adds to
+// per-chunk latency and where it queues.
 
 struct StageMixPoint {
   std::string mix;
@@ -80,42 +80,20 @@ struct StageMixPoint {
   // Per-stage latency and mean wait-queue occupancy, chain order.
   std::vector<std::pair<std::string, double>> stage_us;
   std::vector<std::pair<std::string, double>> stage_q;
-  double host_placements = 0;   // Host-fallback run only.
-  double remote_placements = 0;
 };
 std::vector<StageMixPoint> g_mix;
 
-StageMixPoint RunStageMix(const char* mix_name, const std::string& stages,
-                          bool host_fallback) {
+StageMixPoint RunStageMix(const char* mix_name, const std::string& stages) {
   core::DfsConfig config = BenchConfig(core::DfsMode::kLineFS);
   config.pipeline_stages = stages;
   config.chunk_size = 1ULL << 20;
-  if (host_fallback) {
-    // Saturate every NIC so grown workers spill to host cores: pooled
-    // placement on, an aggressive saturation mark, and a hair-trigger grow
-    // threshold while plugin stages burn wimpy-core cycles on every chunk.
-    config.placer_pooling = true;
-    config.placer_nic_saturation = 0.05;
-    config.stage_queue_threshold = 1;
-    config.max_stage_workers = 4;
-  }
   Experiment exp(config);
+  core::LibFs* fs = exp.cluster().CreateClient(0);
   workloads::BenchResult result;
   std::vector<sim::Task<>> tasks;
-  // One writer per node keeps all NICs busy (required for the fallback run:
-  // a remote NIC with idle cores would absorb the spill first).
-  int writers = host_fallback ? exp.cluster().num_nodes() : 1;
-  for (int w = 0; w < writers; ++w) {
-    core::LibFs* fs = exp.cluster().CreateClient(w % exp.cluster().num_nodes());
-    tasks.push_back([](core::LibFs* fs, int w, workloads::BenchResult* out) -> sim::Task<> {
-      char path[32];
-      std::snprintf(path, sizeof(path), "/mix%d.dat", w);
-      workloads::BenchResult r = co_await workloads::SeqWrite(fs, path, 32ULL << 20, 1 << 20);
-      out->bytes += r.bytes;
-      out->ops += r.ops;
-      out->elapsed = std::max(out->elapsed, r.elapsed);
-    }(fs, w, &result));
-  }
+  tasks.push_back([](core::LibFs* fs, workloads::BenchResult* out) -> sim::Task<> {
+    *out = co_await workloads::SeqWrite(fs, "/mix0.dat", 32ULL << 20, 1 << 20);
+  }(fs, &result));
   exp.RunAll(std::move(tasks));
   exp.Drain(10 * sim::kSecond);
 
@@ -128,7 +106,6 @@ StageMixPoint RunStageMix(const char* mix_name, const std::string& stages,
   exp.AddScalar("throughput_gbps", p.gbps);
 
   core::NicFs::StatsSnapshot stats = exp.cluster().nicfs(0)->stats();
-  obs::MetricsRegistry::Snapshot metrics = exp.cluster().metrics().TakeSnapshot();
   for (const std::string& name : pipeline::ParseStageList(stages)) {
     auto it = stats.stages.find(name);
     if (it == stats.stages.end()) {
@@ -143,14 +120,6 @@ StageMixPoint RunStageMix(const char* mix_name, const std::string& stages,
     double occupancy = q != nullptr ? q->Summarize().mean : 0.0;
     p.stage_q.emplace_back(name, occupancy);
     exp.AddScalar(name + "_qdepth", occupancy);
-  }
-  if (host_fallback) {
-    p.host_placements =
-        static_cast<double>(metrics.counters["placer.placements.host"]);
-    p.remote_placements =
-        static_cast<double>(metrics.counters["placer.placements.remote"]);
-    exp.AddScalar("host_placements", p.host_placements);
-    exp.AddScalar("remote_placements", p.remote_placements);
   }
   return p;
 }
@@ -258,11 +227,8 @@ void BM_WindowSweep(benchmark::State& state) {
 void BM_StageMix(benchmark::State& state) {
   for (auto _ : state) {
     g_mix.clear();
-    g_mix.push_back(RunStageMix("baseline", "validate", false));
-    g_mix.push_back(RunStageMix("checksum", "validate,checksum", false));
-    g_mix.push_back(RunStageMix("encrypt", "validate,xor_encrypt", false));
-    g_mix.push_back(
-        RunStageMix("host_fallback", "validate,xor_encrypt,checksum", true));
+    g_mix.push_back(RunStageMix("baseline", "validate"));
+    g_mix.push_back(RunStageMix("checksum", "validate,checksum"));
   }
   for (const StageMixPoint& p : g_mix) {
     state.counters[p.mix + "_gbps"] = p.gbps;
@@ -303,7 +269,7 @@ void PrintTable() {
   }
   std::printf("(tw=1 is the legacy blocking round-trip control path)\n");
 
-  std::printf("\n=== Stage mix: plugin stages in the replication chain (1MB chunks) ===\n");
+  std::printf("\n=== Stage mix: optional stages in the replication chain (1MB chunks) ===\n");
   std::printf("%-14s %8s  %-44s %s\n", "mix", "GB/s", "stage latency us (mean)",
               "queue occupancy");
   for (const StageMixPoint& p : g_mix) {
@@ -318,11 +284,6 @@ void PrintTable() {
       off += std::snprintf(queues + off, sizeof(queues) - off, "%s=%.1f ", name.c_str(), q);
     }
     std::printf("%-14s %8.3f  %-44s %s\n", p.mix.c_str(), p.gbps, stages, queues);
-    if (p.mix == "host_fallback") {
-      std::printf("%-14s placements: host=%.0f remote=%.0f (NICs saturated, pooled "
-                  "placer spills to host cores)\n",
-                  "", p.host_placements, p.remote_placements);
-    }
   }
 }
 

@@ -257,8 +257,6 @@ class Experiment {
     v.Set("doorbell_batch", c.doorbell_batch);
     v.Set("num_shards", c.num_shards);
     v.Set("shard_placement", c.shard_placement);
-    v.Set("placer_pooling", c.placer_pooling);
-    v.Set("placer_nic_saturation", c.placer_nic_saturation);
     return v;
   }
 

@@ -7,10 +7,14 @@ Usage:
         [--update]
 
 With --update the comparison still runs and prints per-scalar deltas, but
-instead of gating, every candidate BENCH_*.json is copied over the baseline
+instead of gating, every candidate BENCH_*.json is written over the baseline
 directory (intentional perf changes are recorded by committing the refreshed
-baselines). New candidate reports are added; exit status is 0 unless files
-cannot be read or written.
+baselines). A baseline keeps only "bench", "schema_version", "meta", and each
+run's "label", "scalars" (what the gate compares) and "counters" (the event
+and anomaly counts behind them). Every number keeps its text from the
+candidate report byte for byte. New
+candidate reports are added; exit status is 0 unless files cannot be read or
+written.
 
 For every BENCH_<name>.json in the baseline directory (optionally restricted
 with --bench), the candidate directory must contain a report with the same
@@ -48,7 +52,6 @@ Only the Python standard library is used.
 import argparse
 import json
 import os
-import shutil
 import sys
 
 HIGHER_BETTER = ("throughput", "kops", "ops_per_sec")
@@ -66,9 +69,58 @@ def classify(name):
     return 0
 
 
+class Number(float):
+    """A JSON number that remembers its source text, so a rewritten baseline
+    keeps every value byte for byte."""
+
+    def __new__(cls, text):
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+
 def load_report(path):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        return json.load(f, parse_float=Number, parse_int=Number)
+
+
+# What a committed baseline keeps: the gate compares "scalars"; "counters"
+# stay as the record of the anomaly and event counts behind them. The gate
+# never reads the rest of a report (timelines, histograms, critical paths).
+BASELINE_KEYS = ("bench", "schema_version", "meta")
+BASELINE_RUN_KEYS = ("label", "scalars", "counters")
+
+
+def baseline_of(report):
+    """Strips a full BENCH_*.json report down to what a baseline keeps."""
+    out = {key: report[key] for key in BASELINE_KEYS if key in report}
+    out["runs"] = [{key: run[key] for key in BASELINE_RUN_KEYS if key in run}
+                   for run in report.get("runs", [])]
+    return out
+
+
+def dump_json(value, indent=0):
+    """Serializes like json.dumps(indent=2), but writes each Number as its
+    source text."""
+    pad = "  " * (indent + 1)
+    if isinstance(value, Number):
+        return value.text
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{pad}{json.dumps(k)}: {dump_json(v, indent + 1)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [pad + dump_json(v, indent + 1) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
+    return json.dumps(value)
+
+
+def write_baseline(report, path):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dump_json(baseline_of(report)) + "\n")
 
 
 def runs_by_label(report, path):
@@ -213,8 +265,9 @@ def main():
 
 
 def update_baselines(args, rows):
-    """Copies every candidate BENCH_*.json over the baseline dir (adding new
-    reports) and summarizes how the gated scalars moved."""
+    """Writes every candidate BENCH_*.json, stripped to a baseline, over the
+    baseline dir (adding new reports) and summarizes how the gated scalars
+    moved."""
     cand_files = sorted(
         f for f in os.listdir(args.candidate)
         if f.startswith("BENCH_") and f.endswith(".json")
@@ -249,8 +302,9 @@ def update_baselines(args, rows):
 
     for f in cand_files:
         try:
-            shutil.copyfile(os.path.join(args.candidate, f), os.path.join(args.baseline, f))
-        except OSError as e:
+            write_baseline(load_report(os.path.join(args.candidate, f)),
+                           os.path.join(args.baseline, f))
+        except (OSError, ValueError) as e:
             print(f"error: cannot update {f}: {e}", file=sys.stderr)
             return 2
         print(f"  updated {os.path.join(args.baseline, f)}")

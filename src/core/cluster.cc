@@ -79,20 +79,11 @@ Cluster::Cluster(sim::Engine* engine, const DfsConfig& config)
     dfs_nodes_.push_back(std::make_unique<DfsNode>(hw_nodes_[i].get(), config_));
   }
   pipeline::StagePlacer::Options placer_opts;
-  placer_opts.pooling = config_.placer_pooling;
-  placer_opts.nic_saturation = config_.placer_nic_saturation;
   placer_opts.queue_threshold = config_.stage_queue_threshold;
   placer_opts.max_workers = config_.max_stage_workers;
   placer_opts.scale_down_intervals = config_.stage_scale_down_intervals;
   placer_ = std::make_unique<pipeline::StagePlacer>(
       engine_, placer_opts, obs::MetricScope(metrics_.get(), "placer"));
-  // Every site is registered before any placement decision: the NIC pool of
-  // each node plus its host pool as the saturation fallback.
-  for (int i = 0; i < config_.num_nodes; ++i) {
-    hw::Node& hwn = *hw_nodes_[i];
-    placer_->AddSite({i, /*host=*/false, &hwn.nic().cpu(), hwn.nic().nicfs_account()});
-    placer_->AddSite({i, /*host=*/true, &hwn.host_cpu(), hwn.acct_fs()});
-  }
   if (config_.IsLineFs()) {
     for (int i = 0; i < config_.num_nodes; ++i) {
       kworkers_.push_back(std::make_unique<KernelWorker>(dfs_nodes_[i].get(), &config_,

@@ -100,9 +100,8 @@ class Cluster {
   const obs::TraceBuffer& trace() const { return *trace_; }
   obs::PipelineProfiler& profiler() { return *profiler_; }
 
-  // Cluster-wide stage-worker placement (src/pipeline/placer.h). NICFS pipes
-  // register their scalable stage groups here; sites cover every node's NIC
-  // pool plus its host pool as saturation fallback.
+  // Cluster-wide stage-worker scaling (src/pipeline/placer.h). NICFS pipes
+  // register their stage groups here.
   pipeline::StagePlacer& placer() { return *placer_; }
 
   // Creates a LibFS client process on `node_id` (clients get globally unique
@@ -132,7 +131,7 @@ class Cluster {
   std::unique_ptr<hw::Fabric> fabric_;
   std::unique_ptr<rdma::Network> net_;
   std::unique_ptr<rdma::RpcSystem> rpc_;
-  // Declared before the NICFS services: their pipes register placement groups
+  // Declared before the NICFS services: their pipes register stage groups
   // whose callbacks the placer may invoke until it is stopped.
   std::unique_ptr<pipeline::StagePlacer> placer_;
   std::vector<std::unique_ptr<NicFs>> nicfs_;

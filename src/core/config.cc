@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "src/pipeline/registry.h"
+#include "src/pipeline/stage.h"
 #include "src/repl/registry.h"
 #include "src/shard/shard_map.h"
 
@@ -147,7 +147,7 @@ Status DfsConfig::Validate() const {
       if (name.empty()) {
         return Invalid("pipeline_stages has an empty entry: '" + pipeline_stages + "'");
       }
-      if (!pipeline::Stages().Contains(name)) {
+      if (pipeline::MakeStage(name) == nullptr) {
         return Invalid("pipeline_stages names unknown stage '" + name + "'");
       }
       if (std::count(stages.begin(), stages.end(), name) > 1) {
@@ -164,22 +164,11 @@ Status DfsConfig::Validate() const {
     if (compression && pos("compress") == stages.end()) {
       return Invalid("compression=true requires 'compress' in pipeline_stages");
     }
-    auto compress_it = pos("compress");
-    auto encrypt_it = pos("xor_encrypt");
-    if (compress_it != stages.end() && encrypt_it != stages.end() &&
-        encrypt_it < compress_it) {
-      return Invalid("'xor_encrypt' must come after 'compress' "
-                     "(ciphertext does not compress)");
-    }
     auto checksum_it = pos("checksum");
     if (checksum_it != stages.end() && checksum_it + 1 != stages.end()) {
       return Invalid("'checksum' must be the last stage so the seal covers "
                      "the bytes actually sent");
     }
-  }
-  if (!(placer_nic_saturation > 0.0 && placer_nic_saturation <= 1.0)) {
-    return Invalid("placer_nic_saturation must be in (0,1], got " +
-                   std::to_string(placer_nic_saturation));
   }
   if (bg_repl_threads < 1) {
     return Invalid("bg_repl_threads must be >= 1, got " + std::to_string(bg_repl_threads));

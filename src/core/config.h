@@ -88,22 +88,12 @@ struct DfsConfig {
   bool compression = false;
   int compression_threads = 16;
 
-  // Per-pipe pipeline-stage chain, composed from the StageRegistry
-  // (src/pipeline). Comma-separated stage names; "validate" must come first,
-  // "checksum" (when present) must come last so the seal covers the sent
-  // bytes, and "xor_encrypt" must follow "compress" so ciphertext never feeds
-  // LZW. The "compress" entry is armed by the `compression` knob: listing it
-  // declares where compression sits in the chain, `compression=true` turns it
-  // on.
+  // Per-pipe pipeline-stage chain (src/pipeline/stage.h). Comma-separated
+  // stage names; "validate" must come first, and "checksum" (when present)
+  // must come last so the seal covers the sent bytes. The "compress" entry is
+  // armed by the `compression` knob: listing it declares where compression
+  // sits in the chain, `compression=true` turns it on.
   std::string pipeline_stages = "validate,compress";
-
-  // StagePlacer (src/pipeline/placer.h): with pooling enabled, grown stage
-  // workers may land on the least-busy remote NIC once the local NIC passes
-  // `placer_nic_saturation` busy-core ratio, and on host cores once every NIC
-  // is saturated. Disabled (default), every placement is local and the
-  // pre-placer scaling behavior is reproduced exactly.
-  bool placer_pooling = false;
-  double placer_nic_saturation = 0.75;
 
   // Read-path policy (off-path SmartNIC characterization, PAPERS.md): which
   // route a LibFs read takes to the data.

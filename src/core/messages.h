@@ -89,7 +89,6 @@ struct ReplChunkMsg {
   uint64_t to = 0;
   uint64_t wire_bytes = 0;   // Bytes that crossed the network (post-compression).
   uint8_t compressed = 0;
-  uint8_t encrypted = 0;         // Wire bytes are XOR-scrambled (xor_encrypt stage).
   uint8_t checksum_present = 0;  // `checksum` carries a CRC32C seal to verify.
   uint64_t checksum = 0;         // Seal over the wire bytes as sent.
   uint8_t direct_to_host = 0;  // Penultimate-hop optimisation (Fig. 3, step 6').

@@ -6,7 +6,6 @@
 #include "src/compress/lzw.h"
 #include "src/core/cluster.h"
 #include "src/core/clustermgr.h"
-#include "src/pipeline/registry.h"
 #include "src/repl/registry.h"
 
 namespace linefs::core {
@@ -438,6 +437,8 @@ void NicFs::RegisterClient(int client, ClientHooks hooks) {
   raw->env.coalescing = config_->coalescing;
   raw->env.compression_threads = config_->compression_threads;
   raw->env.node = node_->id();
+  raw->env.pool = &node_->hw().nic().cpu();
+  raw->env.account = node_->hw().nic().nicfs_account();
   raw->env.component = component_;
   raw->env.trace = trace_;
   raw->env.validator = validator_.get();
@@ -449,13 +450,12 @@ void NicFs::RegisterClient(int client, ClientHooks hooks) {
     engine_->Spawn(FetchLoop(raw), "nicfs.fetch");
     for (auto& unit : raw->stages) {
       unit->workers = 1;
-      engine_->Spawn(StageWorker(raw, unit.get(), LocalPlacement()), "nicfs.stage");
+      engine_->Spawn(StageWorker(raw, unit.get()), "nicfs.stage");
     }
     engine_->Spawn(PublishWorker(raw), "nicfs.publish");
     raw->publish_workers = 1;
     engine_->Spawn(TransferWorker(raw), "nicfs.transfer");
-    // Dynamic scaling moved to the cluster-wide StagePlacer: each scalable
-    // stage of this pipe becomes a placement group it grows and shrinks.
+    // The cluster-wide StagePlacer grows and shrinks each stage of this pipe.
     RegisterStageGroups(raw);
   } else {
     engine_->Spawn(SequentialLoop(raw), "nicfs.sequential");
@@ -602,7 +602,7 @@ void NicFs::BuildStages(ClientPipe* pipe) {
       // The chain declares where compression sits; the knob arms it.
       continue;
     }
-    std::unique_ptr<pipeline::Stage> stage = pipeline::Stages().Create(name);
+    std::unique_ptr<pipeline::Stage> stage = pipeline::MakeStage(name);
     if (stage == nullptr) {
       continue;  // Validate() rejects unknown names before boot.
     }
@@ -610,50 +610,6 @@ void NicFs::BuildStages(ClientPipe* pipe) {
     pipe->stages.push_back(
         std::make_unique<StageUnit>(engine_, std::move(stage), pipe->stages.size()));
   }
-}
-
-pipeline::Placement NicFs::LocalPlacement() const {
-  pipeline::Placement p;
-  p.site = pipeline::Placement::Site::kLocalNic;
-  p.node = node_->id();
-  p.pool = &node_->hw().nic().cpu();
-  p.account = node_->hw().nic().nicfs_account();
-  return p;
-}
-
-pipeline::Placement NicFs::PlacementFor(const pipeline::StagePlacer::Site& site) const {
-  pipeline::Placement p;
-  p.node = site.node;
-  p.pool = site.pool;
-  p.account = site.account;
-  if (site.host) {
-    // Host fallback: the chunk crosses PCIe up to host DRAM and a small
-    // completion descriptor returns to the NIC.
-    p.site = pipeline::Placement::Site::kHost;
-    hw::SmartNic* nic = &node_->hw().nic();
-    p.ship = [nic](uint64_t bytes) -> sim::Task<> {
-      co_await nic->pcie_n2h().Transfer(bytes);
-      co_await nic->pcie_h2n().Transfer(64);
-    };
-  } else if (site.node != node_->id()) {
-    // Pooled remote NIC: the peer's cores pull the chunk over the fabric and
-    // write a small result descriptor back into the home NIC.
-    p.site = pipeline::Placement::Site::kRemoteNic;
-    rdma::Initiator init;
-    init.cpu = site.pool;
-    init.account = site.account;
-    init.extra_latency = 8 * sim::kMicrosecond;
-    rdma::Network* net = &cluster_->net();
-    rdma::MemAddr peer{site.node, rdma::Space::kNicMem};
-    rdma::MemAddr home{node_->id(), rdma::Space::kNicMem};
-    p.ship = [net, init, peer, home](uint64_t bytes) -> sim::Task<> {
-      co_await net->Read(init, peer, home, bytes);
-      co_await net->Write(init, peer, home, 64);
-    };
-  } else {
-    p.site = pipeline::Placement::Site::kLocalNic;
-  }
-  return p;
 }
 
 void NicFs::PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk) {
@@ -671,8 +627,7 @@ void NicFs::PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk) {
   }
 }
 
-sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
-                               pipeline::Placement where) {
+sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit) {
   const pipeline::Stage::Info& info = unit->stage->info();
   while (true) {
     std::optional<ChunkPtr> popped = co_await unit->queue.Pop();
@@ -699,11 +654,7 @@ sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
       continue;
     }
     sim::Time t0 = engine_->Now();
-    if (where.ship) {
-      // Relocated worker: pay the data movement to the executing complex.
-      co_await where.ship(chunk->bytes());
-    }
-    co_await unit->stage->Process(pipe->env, where, chunk);
+    co_await unit->stage->Process(pipe->env, chunk);
     set.latency->Record(engine_->Now() - t0);
     PushDownstream(pipe, unit, std::move(chunk));
   }
@@ -712,18 +663,13 @@ sim::Task<> NicFs::StageWorker(ClientPipe* pipe, StageUnit* unit,
 void NicFs::RegisterStageGroups(ClientPipe* pipe) {
   for (auto& unit_ptr : pipe->stages) {
     StageUnit* unit = unit_ptr.get();
-    if (!unit->stage->info().scalable) {
-      continue;
-    }
     pipeline::StagePlacer::Group group;
-    group.stage = unit->stage->info().name;
-    group.node = node_->id();
     group.depth = [unit] { return unit->queue.size(); };
     group.workers = [unit] { return unit->workers; };
     group.retire_pending = [unit] { return unit->retire_pending; };
-    group.spawn = [this, pipe, unit](const pipeline::StagePlacer::Site& site) {
+    group.spawn = [this, pipe, unit] {
       ++unit->workers;
-      engine_->Spawn(StageWorker(pipe, unit, PlacementFor(site)), "nicfs.stage");
+      engine_->Spawn(StageWorker(pipe, unit), "nicfs.stage");
     };
     group.retire = [unit] {
       ++unit->retire_pending;
@@ -784,8 +730,7 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
   obs::Span span(trace_, component_, "transfer", node_->id(), pipe->client, chunk->no,
                  chunk->ctx);
   sim::Time t0 = engine_->Now();
-  // The wire carries the transformed image when any transform stage ran
-  // (compression changes the size; encryption keeps it).
+  // The wire carries the compressed image when the compress stage ran.
   uint64_t wire_bytes = chunk->wire_bytes();
   // Urgency is evaluated at send time, not admission time: a chunk prefetched
   // before an fsync arrived still rides the low-latency channel once a waiter
@@ -839,7 +784,6 @@ sim::Task<> NicFs::DoTransfer(ClientPipe* pipe, ChunkPtr chunk) {
     msg.to = chunk->to;
     msg.wire_bytes = wire_bytes;
     msg.compressed = chunk->wire_compressed ? 1 : 0;
-    msg.encrypted = chunk->wire_encrypted ? 1 : 0;
     msg.checksum_present = chunk->wire_checksummed ? 1 : 0;
     msg.checksum = chunk->wire_checksum;
     msg.urgent = urgent ? 1 : 0;
@@ -1050,10 +994,9 @@ sim::Task<> NicFs::SequentialLoop(ClientPipe* pipe) {
     }
     // The configured stage chain runs inline in chain order, then the chunk
     // publishes and transfers — strictly one chunk at a time.
-    pipeline::Placement local = LocalPlacement();
     for (auto& unit : pipe->stages) {
       sim::Time t0 = engine_->Now();
-      co_await unit->stage->Process(pipe->env, local, chunk);
+      co_await unit->stage->Process(pipe->env, chunk);
       metrics_.ForStage(unit->stage->info().name).latency->Record(engine_->Now() - t0);
     }
     co_await PublishChunk(pipe, chunk);
@@ -1132,22 +1075,12 @@ sim::Task<> NicFs::HandleReplChunk(ReplChunkMsg msg, fslib::PayloadPtr wire) {
     }
   }
 
-  // Undo the wire transforms in reverse chain order for local use: decrypt,
-  // then decompress. `wire` itself stays as received — a chain forward must
-  // relay the exact bytes (and flags) this hop got. An untransformed chunk
-  // shares that one buffer all the way to the PM write.
-  fslib::PayloadPtr plain = wire;
-  if (intact && msg.encrypted != 0 && !wire->bytes.empty()) {
-    co_await nic.cpu().RunCycles(
-        static_cast<uint64_t>(config_->fs_costs.encrypt_cycles_per_byte *
-                              static_cast<double>(wire->bytes.size())),
-        urgent ? sim::Priority::kRealtime : sim::Priority::kNormal, nic.nicfs_account());
-    auto clear = std::make_shared<fslib::Payload>(fslib::Payload{wire->bytes, {}});
-    pipeline::XorCipher(&clear->bytes);  // Involutive: same routine decrypts.
-    plain = std::move(clear);
-  }
   // Decompress for local use (the paper's compression stage compresses once
-  // at the primary; every replica decompresses for its own PM copy).
+  // at the primary; every replica decompresses for its own PM copy). `wire`
+  // itself stays as received — a chain forward must relay the exact bytes
+  // (and flags) this hop got. An uncompressed chunk shares that one buffer all
+  // the way to the PM write.
+  fslib::PayloadPtr plain = wire;
   if (intact && msg.compressed != 0 && !plain->bytes.empty()) {
     co_await nic.cpu().RunCycles(
         static_cast<uint64_t>(config_->fs_costs.decompress_cycles_per_byte *
@@ -1234,11 +1167,10 @@ sim::Task<> NicFs::ForwardChunk(ReplChunkMsg msg, fslib::PayloadPtr wire,
   // link ahead of chunk k's control message.
   sim::Mutex* wire_mu = ForwardMutex(static_cast<int>(msg.client));
   co_await wire_mu->Lock();
-  if (next_is_last && msg.compressed == 0 && msg.encrypted == 0) {
+  if (next_is_last && msg.compressed == 0) {
     // Penultimate-hop optimisation (Fig. 3, step 6'): write straight into the
     // last replica's host PM log, skipping its SmartNIC memory copy. Only for
-    // untransformed payloads — host PM must receive plaintext bytes, which an
-    // untransformed wire payload is.
+    // uncompressed payloads — host PM must receive the raw log bytes.
     fwd.direct_to_host = 1;
     cluster_->dfs_node(next)
         .client_log(static_cast<int>(msg.client))

@@ -42,7 +42,6 @@
 #include "src/fslib/validate.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/pipeline/placer.h"
 #include "src/pipeline/stage.h"
 #include "src/rdma/rpc.h"
 #include "src/repl/protocol.h"
@@ -144,7 +143,7 @@ class NicFs {
  private:
   friend class Cluster;
 
-  // The pipeline unit of work now lives in src/pipeline so stage plugins can
+  // The pipeline unit of work now lives in src/pipeline so stages can
   // transform it without depending on NICFS.
   using Chunk = pipeline::Chunk;
   using ChunkPtr = pipeline::ChunkPtr;
@@ -152,9 +151,8 @@ class NicFs {
   struct ClientPipe;
 
   // One configured pipeline::Stage of one pipe: the stage instance, its wait
-  // queue, and worker bookkeeping. Workers are generic (StageWorker) and may
-  // execute at any placement the StagePlacer chooses; a nullptr queue item is
-  // a retire pill.
+  // queue, and worker bookkeeping. Workers are generic (StageWorker) and run
+  // on the home SmartNIC; a nullptr queue item is a retire pill.
   struct StageUnit {
     StageUnit(sim::Engine* engine, std::unique_ptr<pipeline::Stage> stage_in,
               size_t index_in)
@@ -270,17 +268,12 @@ class NicFs {
   // Instantiates the pipe's stage chain from DfsConfig::pipeline_stages (the
   // "compress" entry is armed by the compression knob).
   void BuildStages(ClientPipe* pipe);
-  // Generic queue-fed stage worker executing at `where`. Handles retire
-  // pills, the generalized optional-stage bypass (§3.3.2), the relocated
-  // worker's data-shipping cost, and downstream hand-off.
-  sim::Task<> StageWorker(ClientPipe* pipe, StageUnit* unit, pipeline::Placement where);
+  // Generic queue-fed stage worker. Handles retire pills, the generalized
+  // optional-stage bypass (§3.3.2), and downstream hand-off.
+  sim::Task<> StageWorker(ClientPipe* pipe, StageUnit* unit);
   void PushDownstream(ClientPipe* pipe, StageUnit* unit, ChunkPtr chunk);
-  // Placement descriptors: the home NIC, or a placer-chosen site (remote NIC
-  // / host) with its data-shipping cost model.
-  pipeline::Placement LocalPlacement() const;
-  pipeline::Placement PlacementFor(const pipeline::StagePlacer::Site& site) const;
-  // Registers each scalable stage of this pipe as a placement group with the
-  // cluster's StagePlacer (which replaces the old per-node ScalingMonitor).
+  // Registers each stage of this pipe as a scaling group with the cluster's
+  // StagePlacer.
   void RegisterStageGroups(ClientPipe* pipe);
   // Doorbell/CQ batching decision for the next verb post on `pipe`'s QP to
   // `target`: true when the post may ride an already-rung doorbell (skip verb

@@ -84,6 +84,16 @@ void LogArea::WriteRaw(uint64_t logical_from, std::span<const uint8_t> image) {
   region_->Persist(Phys(logical_from), image.size());
 }
 
+void LogArea::MirrorEntry(const ParsedEntry& entry) {
+  region_->WriteObject(Phys(entry.logical_pos), entry.header);
+  uint64_t bytes = sizeof(LogEntryHeader);
+  if (!entry.payload.empty()) {  // Ghost entries and wrap markers carry none.
+    region_->Write(PayloadPhys(entry.logical_pos), entry.payload.data(), entry.payload.size());
+    bytes += entry.payload.size();
+  }
+  region_->Persist(Phys(entry.logical_pos), bytes);
+}
+
 void LogArea::PersistMeta() {
   MetaRecord meta;
   meta.head = head_;
@@ -131,7 +141,8 @@ uint64_t LogArea::ChunkEnd(uint64_t from, uint64_t max_bytes) const {
   return end;
 }
 
-Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to) const {
+Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to,
+                                                     bool keep_wraps) const {
   std::vector<ParsedEntry> entries;
   // Entries are at least a header (64B) apart; most ranges are a handful of
   // small writes, so a modest reserve kills nearly all growth reallocations.
@@ -146,11 +157,12 @@ Result<std::vector<ParsedEntry>> LogArea::ParseRange(uint64_t from, uint64_t to)
       return Status::Error(ErrorCode::kCorrupt, "bad log header crc");
     }
     uint64_t entry_bytes = ParsedEntry::AlignedSize(header.payload_len);
-    if (header.type != LogOpType::kWrap) {
+    bool wrap = header.type == LogOpType::kWrap;
+    if (!wrap || keep_wraps) {
       ParsedEntry entry;
       entry.header = header;
       entry.logical_pos = pos;
-      if ((header.flags & kLogFlagGhost) == 0 && header.payload_len > 0) {
+      if (!wrap && (header.flags & kLogFlagGhost) == 0 && header.payload_len > 0) {
         entry.payload.resize(header.payload_len);
         region_->Read(Phys(pos) + sizeof(LogEntryHeader), entry.payload.data(),
                       header.payload_len);
@@ -166,7 +178,8 @@ PayloadPtr LogArea::ReadPayload(uint64_t from, uint64_t to) const {
   auto payload = std::make_shared<Payload>();
   if (materialize_) {
     CopyRawOut(from, to, &payload->bytes);
-  } else if (Result<std::vector<ParsedEntry>> parsed = ParseRange(from, to); parsed.ok()) {
+  } else if (Result<std::vector<ParsedEntry>> parsed = ParseRange(from, to, /*keep_wraps=*/true);
+             parsed.ok()) {
     payload->entries = std::move(*parsed);
   } else {
     payload->corrupt = true;
@@ -179,7 +192,7 @@ void LogArea::ApplyPayload(uint64_t from, uint64_t to, const Payload& payload) {
     WriteRaw(from, payload.bytes);
   } else {
     for (const ParsedEntry& e : payload.entries) {
-      MirrorHeader(e);
+      MirrorEntry(e);
     }
   }
   SetTail(to);
@@ -193,7 +206,14 @@ Result<std::vector<ParsedEntry>> LogArea::ParsePayload(const Payload& payload,
   if (payload.corrupt) {
     return Status::Error(ErrorCode::kCorrupt, "payload range failed to parse");
   }
-  return payload.entries;
+  std::vector<ParsedEntry> entries;
+  entries.reserve(payload.entries.size());
+  for (const ParsedEntry& e : payload.entries) {
+    if (e.header.type != LogOpType::kWrap) {
+      entries.push_back(e);
+    }
+  }
+  return entries;
 }
 
 Result<std::vector<ParsedEntry>> LogArea::ParseChunkImage(std::span<const uint8_t> image,

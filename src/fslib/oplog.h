@@ -83,9 +83,10 @@ struct ParsedEntry {
 
 // One chunk's replication payload, built once and then shared read-only by
 // every stage, message and replica hop that carries the chunk. With
-// materialized data it holds bytes: the raw log image, or a transformed copy
-// a stage made (compress, xor_encrypt). With elided data it holds no bytes,
-// only the parsed entry headers the replicas mirror and publish. Which
+// materialized data it holds bytes: the raw log image, or the compressed copy
+// the compress stage made. With elided data it holds no bytes, only the
+// parsed entries the replicas mirror and publish: every header, wrap markers
+// included, and the payload of each non-ghost entry (namespace names). Which
 // transforms the bytes carry travels beside it (pipeline::Chunk flags,
 // core::ReplChunkMsg), not in it.
 struct Payload {
@@ -128,16 +129,18 @@ class LogArea {
   void CopyRawOut(uint64_t from, uint64_t to, std::vector<uint8_t>* out) const;
 
   // Parses entries in logical range [from, to) directly from PM (host-side
-  // digestion path used by the Assise baselines and by recovery).
-  Result<std::vector<ParsedEntry>> ParseRange(uint64_t from, uint64_t to) const;
+  // digestion path used by the Assise baselines and by recovery). Wrap
+  // markers are skipped unless `keep_wraps` (header only, no padding bytes).
+  Result<std::vector<ParsedEntry>> ParseRange(uint64_t from, uint64_t to,
+                                              bool keep_wraps = false) const;
 
   // The payload-level view of the log, where the materialize decision lives.
   // ReadPayload: range [from, to) as a replication payload (the raw image, or
-  // the parsed headers when data is elided). ApplyPayload: replica-side
+  // the parsed entries when data is elided). ApplyPayload: replica-side
   // mirror of a payload at the logical position it held in the origin's log
   // (log areas are position-synchronised along the replication chain), then
   // the tail advances to `to`. ParsePayload: the entries a payload starting
-  // at logical position `from` carries.
+  // at logical position `from` carries, wrap markers left out.
   PayloadPtr ReadPayload(uint64_t from, uint64_t to) const;
   void ApplyPayload(uint64_t from, uint64_t to, const Payload& payload);
   Result<std::vector<ParsedEntry>> ParsePayload(const Payload& payload, uint64_t from) const;
@@ -173,13 +176,12 @@ class LogArea {
 
  private:
   // ApplyPayload's two halves. WriteRaw writes and persists a raw chunk
-  // image; MirrorHeader writes just an entry header (elided data: replicas
-  // keep scannable logs even when payload bytes are not materialised).
+  // image; MirrorEntry writes and persists one parsed entry (elided data):
+  // its header, and its payload unless the entry is a ghost or a wrap marker.
+  // Replicas so keep logs that scan across the wrap point, and namespace
+  // entries keep the names digestion needs.
   void WriteRaw(uint64_t logical_from, std::span<const uint8_t> image);
-  void MirrorHeader(const ParsedEntry& entry) {
-    region_->WriteObject(Phys(entry.logical_pos), entry.header);
-    region_->Persist(Phys(entry.logical_pos), sizeof(LogEntryHeader));
-  }
+  void MirrorEntry(const ParsedEntry& entry);
 
   static constexpr uint64_t kMetaBytes = 64;  // Persistent head pointer record.
 

@@ -103,10 +103,9 @@ struct FsCosts {
   // => 0.8e9 Hz * 0.5 ipc / 200e6 B/s = 2 cycles/byte at reference speed.
   double compress_cycles_per_byte = 2.0;
   double decompress_cycles_per_byte = 0.8;
-  // Optional pipeline plugins: CRC32C sealing of the wire image (hardware-
-  // assisted on the SoC, so cheap per byte) and lightweight stream encryption.
+  // Optional checksum stage: CRC32C sealing of the wire image (hardware-
+  // assisted on the SoC, so cheap per byte).
   double checksum_cycles_per_byte = 0.3;
-  double encrypt_cycles_per_byte = 1.2;
   // memcpy cost charged to a CPU when the CPU itself moves data (DRAM).
   double memcpy_cycles_per_byte = 0.35;
   // memcpy into PM is slower (write-combining + clwb stalls): ~2.2 GB/s/core.

@@ -39,12 +39,8 @@ std::string CriticalPathAnalyzer::CanonicalStage(std::string_view raw) {
   if (raw == "compress") {
     return "compress";
   }
-  // Optional pipeline plugins (src/pipeline stage API).
   if (raw == "checksum") {
     return "checksum";
-  }
-  if (raw == "xor_encrypt") {
-    return "encrypt";
   }
   // Anything that puts bytes on (or takes them off) the fabric.
   if (raw == "transfer" || raw == "rpc" || raw == "repl_recv" || raw == "forward" ||

@@ -3,11 +3,10 @@
 // A chunk is one contiguous client-log range, fetched once and then shared by
 // the publication path (entries) and the replication path (wire payload).
 // `image` is the fetched fslib::Payload; `wire` starts as the same shared
-// buffer and is what the transfer stage sends. A stage plugin
-// (src/pipeline/stage.h) that changes bytes points `wire` at a new buffer:
-// compress and encryption do, checksumming only seals. The `wire_*` flags
-// record which transforms the bytes carry so the receiving replica can undo
-// them in reverse order.
+// buffer and is what the transfer stage sends. A stage (src/pipeline/stage.h)
+// that changes bytes points `wire` at a new buffer: compress does,
+// checksumming only seals. The `wire_*` flags record which transforms the
+// bytes carry so the receiving replica can verify and undo them.
 
 #ifndef SRC_PIPELINE_CHUNK_H_
 #define SRC_PIPELINE_CHUNK_H_
@@ -33,7 +32,6 @@ struct Chunk {
   fslib::PayloadPtr wire;                   // As sent to the replicas.
   std::vector<fslib::ParsedEntry> entries;  // Populated by validation.
   bool wire_compressed = false;
-  bool wire_encrypted = false;
   bool wire_checksummed = false;
   uint64_t wire_checksum = 0;               // Seal over the final wire bytes.
   uint64_t mem_reserved = 0;

@@ -1,34 +1,21 @@
-// StagePlacer: cluster-wide placement of pipeline-stage workers.
+// StagePlacer: the cluster-wide scaling tick for pipeline-stage workers (§3.1).
 //
-// Replaces the per-node ScalingMonitor's add/retire logic with one placement
-// loop over every registered stage group (one group per pipe x scalable
-// stage). The grow/shrink policy is unchanged — grow when the stage's wait
-// queue exceeds DfsConfig::stage_queue_threshold, retire after
-// stage_scale_down_intervals consecutive idle checks, one worker always
-// survives — but *where* a new worker lands is now a decision:
-//
-//   1. the local SmartNIC, while it has headroom;
-//   2. with `pooling` enabled, the least-busy unsaturated remote NIC
-//      (Meili-style pooled wimpy cores: all NICs form one resource pool);
-//   3. the local host's cores once every NIC is saturated (the paper's
-//      dynamic-offload fallback, now per stage worker instead of per node).
-//
-// With pooling disabled (default) every placement is local, reproducing the
-// pre-placer behavior exactly. Worker migration (spawn at a new site, retire
-// one pill) is transparent to the wire protocol: stage output re-sequences
-// through the downstream reorder buffers, so chunk wire order is preserved
-// no matter where workers run.
+// One loop over every registered stage group (one group per pipe x stage).
+// Every check_interval it grows a stage by one worker on its home SmartNIC
+// while the stage's wait queue exceeds DfsConfig::stage_queue_threshold (up
+// to max_stage_workers), and retires one after stage_scale_down_intervals
+// consecutive checks under threshold; one worker always survives. Output
+// re-sequences through the downstream reorder buffers, so chunk wire order
+// does not depend on how many workers a stage runs.
 
 #ifndef SRC_PIPELINE_PLACER_H_
 #define SRC_PIPELINE_PLACER_H_
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/sim/cpu.h"
 #include "src/sim/engine.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
@@ -38,59 +25,31 @@ namespace linefs::pipeline {
 class StagePlacer {
  public:
   struct Options {
-    bool pooling = false;          // Consider remote NICs / host fallback.
-    double nic_saturation = 0.75;  // busy/cores ratio that marks a NIC full.
     int queue_threshold = 5;
     int max_workers = 4;
     int scale_down_intervals = 3;
     sim::Time check_interval = 2 * sim::kMillisecond;
   };
 
-  // An execution complex workers can be placed on. Registered once per node
-  // by the cluster: its SmartNIC pool and (as fallback) its host pool.
-  struct Site {
-    int node = 0;
-    bool host = false;
-    sim::CpuPool* pool = nullptr;
-    int account = 0;
-  };
-
-  // One scalable stage of one pipe. The callbacks close over the pipe's
-  // StageUnit so the placer never touches NICFS internals directly.
+  // One stage of one pipe. The callbacks close over the pipe's StageUnit so
+  // the placer never touches NICFS internals directly.
   struct Group {
-    std::string stage;  // Stage name (for diagnostics).
-    int node = 0;       // Home node: queue and downstream buffers live here.
-    std::function<size_t()> depth;          // Stage wait-queue depth.
-    std::function<int()> workers;           // Current worker count.
-    std::function<int()> retire_pending;    // Retire pills not yet consumed.
-    std::function<void(const Site&)> spawn; // Start a worker at a site.
-    std::function<void()> retire;           // Push one retire pill.
+    std::function<size_t()> depth;        // Stage wait-queue depth.
+    std::function<int()> workers;         // Current worker count.
+    std::function<int()> retire_pending;  // Retire pills not yet consumed.
+    std::function<void()> spawn;          // Start one more worker.
+    std::function<void()> retire;         // Push one retire pill.
   };
 
   StagePlacer(sim::Engine* engine, const Options& options, obs::MetricScope scope);
 
-  void AddSite(Site site);
-  // Returns the group's id (stable; usable with MigrateTo).
-  size_t RegisterGroup(Group group);
+  void RegisterGroup(Group group);
 
   void Start();
   void Stop();
 
-  // One placement pass over every group (also called by the periodic loop).
+  // One scaling pass over every group (also called by the periodic loop).
   void Tick();
-
-  // Placement policy for a grow decision originating at `origin_node`.
-  // Returns nullptr only if no site is registered for that node.
-  const Site* ChooseSite(int origin_node);
-
-  // Explicitly migrates one worker of `group_id` to `target`: spawns there,
-  // then retires one existing worker. Order is preserved by the downstream
-  // reorder buffer. Used by tests and future rebalancing policies.
-  void MigrateTo(size_t group_id, const Site& target);
-
-  const std::vector<Site>& sites() const { return sites_; }
-  size_t group_count() const { return groups_.size(); }
-  const Group& group(size_t id) const { return groups_[id].group; }
 
  private:
   struct GroupState {
@@ -99,20 +58,13 @@ class StagePlacer {
   };
 
   sim::Task<> Loop();
-  bool Saturated(const Site& site) const;
-  const Site* LocalSite(int node, bool host) const;
-  void CountPlacement(const Site& site, int origin_node);
 
   sim::Engine* engine_;
   Options options_;
-  std::vector<Site> sites_;
   std::vector<GroupState> groups_;
   bool running_ = false;
   bool stopped_ = false;
   obs::Counter* placements_local_;
-  obs::Counter* placements_remote_;
-  obs::Counter* placements_host_;
-  obs::Counter* migrations_;
 };
 
 }  // namespace linefs::pipeline

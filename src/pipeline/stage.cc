@@ -18,35 +18,54 @@ sim::Priority ChunkPriority(const ChunkPtr& chunk) {
 
 }  // namespace
 
-uint64_t WireChecksum(const std::vector<uint8_t>& data) {
-  return fslib::Crc32c(data.data(), data.size());
+std::unique_ptr<Stage> MakeStage(const std::string& name) {
+  if (name == "validate") {
+    return std::make_unique<ValidateStage>();
+  }
+  if (name == "compress") {
+    return std::make_unique<CompressStage>();
+  }
+  if (name == "checksum") {
+    return std::make_unique<ChecksumStage>();
+  }
+  return nullptr;
 }
 
-void XorCipher(std::vector<uint8_t>* data) {
-  // Deterministic keystream from a fixed session key: XOR is involutive, so
-  // the identical routine encrypts at the primary and decrypts at replicas.
-  uint64_t state = 0x9e3779b97f4a7c15ULL;
-  size_t i = 0;
-  while (i < data->size()) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    uint64_t ks = state ^ (state >> 31);
-    for (int b = 0; b < 8 && i < data->size(); ++b, ++i) {
-      (*data)[i] ^= static_cast<uint8_t>(ks >> (8 * b));
+std::vector<std::string> ParseStageList(const std::string& csv) {
+  std::vector<std::string> names;
+  std::string current;
+  auto flush = [&] {
+    size_t begin = current.find_first_not_of(" \t");
+    size_t end = current.find_last_not_of(" \t");
+    names.push_back(begin == std::string::npos
+                        ? std::string()
+                        : current.substr(begin, end - begin + 1));
+    current.clear();
+  };
+  for (char c : csv) {
+    if (c == ',') {
+      flush();
+    } else {
+      current += c;
     }
   }
+  flush();
+  return names;
+}
+
+uint64_t WireChecksum(const std::vector<uint8_t>& data) {
+  return fslib::Crc32c(data.data(), data.size());
 }
 
 // --- ValidateStage ------------------------------------------------------------
 
 const Stage::Info& ValidateStage::info() const {
-  static const Info kInfo{"validate", /*optional=*/false, /*scalable=*/true,
-                          /*shared_fanout=*/true, /*cycles_per_byte=*/0.18};
+  static const Info kInfo{"validate", /*optional=*/false, /*shared_fanout=*/true};
   return kInfo;
 }
 
-sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
-                                   const ChunkPtr& chunk) {
-  obs::Span span(env.trace, env.component, "validate", where.node, chunk->client,
+sim::Task<> ValidateStage::Process(StageEnv& env, const ChunkPtr& chunk) {
+  obs::Span span(env.trace, env.component, "validate", env.node, chunk->client,
                  chunk->no, chunk->ctx);
   // Downstream stages (compress/transfer/publish) nest under the validation
   // span, which itself nests under fetch.
@@ -60,7 +79,7 @@ sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
   if (env.coalescing) {
     cycles += env.costs->coalesce_entry_cycles * n;
   }
-  co_await where.pool->RunCycles(cycles, ChunkPriority(chunk), where.account);
+  co_await env.pool->RunCycles(cycles, ChunkPriority(chunk), env.account);
   if (!parsed.ok()) {
     env.validation_failures->Increment();
     chunk->failed = true;
@@ -81,27 +100,25 @@ sim::Task<> ValidateStage::Process(StageEnv& env, const Placement& where,
 // --- CompressStage ------------------------------------------------------------
 
 const Stage::Info& CompressStage::info() const {
-  static const Info kInfo{"compress", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false, /*cycles_per_byte=*/2.0};
+  static const Info kInfo{"compress", /*optional=*/true, /*shared_fanout=*/false};
   return kInfo;
 }
 
-sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
-                                   const ChunkPtr& chunk) {
+sim::Task<> CompressStage::Process(StageEnv& env, const ChunkPtr& chunk) {
   if (chunk->failed || chunk->wire->bytes.empty()) {
     co_return;
   }
-  obs::Span span(env.trace, env.component, "compress", where.node, chunk->client,
+  obs::Span span(env.trace, env.component, "compress", env.node, chunk->client,
                  chunk->no, chunk->ctx);
-  // Parallel compression: the chunk is split across the placement's cores.
+  // Parallel compression: the chunk is split across the NIC's cores.
   uint64_t total_cycles = static_cast<uint64_t>(env.costs->compress_cycles_per_byte *
                                                 static_cast<double>(chunk->bytes()));
   int threads = std::max(1, env.compression_threads);
   std::vector<sim::Task<>> shards;
   shards.reserve(threads);
   for (int i = 0; i < threads; ++i) {
-    shards.push_back(where.pool->RunCycles(total_cycles / threads, sim::Priority::kNormal,
-                                           where.account));
+    shards.push_back(
+        env.pool->RunCycles(total_cycles / threads, sim::Priority::kNormal, env.account));
   }
   co_await sim::AwaitAll(env.engine, std::move(shards));
   chunk->wire = std::make_shared<const fslib::Payload>(
@@ -112,52 +129,23 @@ sim::Task<> CompressStage::Process(StageEnv& env, const Placement& where,
 // --- ChecksumStage ------------------------------------------------------------
 
 const Stage::Info& ChecksumStage::info() const {
-  static const Info kInfo{"checksum", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false, /*cycles_per_byte=*/0.3};
+  static const Info kInfo{"checksum", /*optional=*/true, /*shared_fanout=*/false};
   return kInfo;
 }
 
-sim::Task<> ChecksumStage::Process(StageEnv& env, const Placement& where,
-                                   const ChunkPtr& chunk) {
+sim::Task<> ChecksumStage::Process(StageEnv& env, const ChunkPtr& chunk) {
   if (chunk->failed) {
     co_return;
   }
-  obs::Span span(env.trace, env.component, "checksum", where.node, chunk->client,
+  obs::Span span(env.trace, env.component, "checksum", env.node, chunk->client,
                  chunk->no, chunk->ctx);
-  co_await where.pool->RunCycles(
+  co_await env.pool->RunCycles(
       static_cast<uint64_t>(env.costs->checksum_cycles_per_byte *
                             static_cast<double>(chunk->wire_bytes())),
-      ChunkPriority(chunk), where.account);
+      ChunkPriority(chunk), env.account);
   if (!chunk->wire->bytes.empty()) {
     chunk->wire_checksum = WireChecksum(chunk->wire->bytes);
     chunk->wire_checksummed = true;
-  }
-}
-
-// --- XorEncryptStage ----------------------------------------------------------
-
-const Stage::Info& XorEncryptStage::info() const {
-  static const Info kInfo{"xor_encrypt", /*optional=*/true, /*scalable=*/true,
-                          /*shared_fanout=*/false, /*cycles_per_byte=*/1.2};
-  return kInfo;
-}
-
-sim::Task<> XorEncryptStage::Process(StageEnv& env, const Placement& where,
-                                     const ChunkPtr& chunk) {
-  if (chunk->failed) {
-    co_return;
-  }
-  obs::Span span(env.trace, env.component, "xor_encrypt", where.node, chunk->client,
-                 chunk->no, chunk->ctx);
-  co_await where.pool->RunCycles(
-      static_cast<uint64_t>(env.costs->encrypt_cycles_per_byte *
-                            static_cast<double>(chunk->wire_bytes())),
-      ChunkPriority(chunk), where.account);
-  if (!chunk->wire->bytes.empty()) {
-    auto scrambled = std::make_shared<fslib::Payload>(fslib::Payload{chunk->wire->bytes, {}});
-    XorCipher(&scrambled->bytes);
-    chunk->wire = std::move(scrambled);
-    chunk->wire_encrypted = true;
   }
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 
-// Process-wide replication-protocol registry, mirroring pipeline::Stages().
+// Process-wide replication-protocol registry.
 // Protocols self-register at static-init time; DfsConfig::Validate() checks
 // `replication_protocol` against Contains(), and NicFs / SharedFs build their
 // protocol instance through Create().

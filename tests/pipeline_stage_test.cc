@@ -1,16 +1,14 @@
-// The first-class pipeline-stage API (src/pipeline): registry lookup and
-// config-chain validation, per-chunk stage-order preservation through the
-// generic workers, plugin wire round-trips (checksum seal, XOR scrambling),
-// placer policy and worker migration, and a seeded fault run with the full
-// plugin chain armed.
+// The NICFS pipeline stages (src/pipeline): stage lookup and config-chain
+// validation, per-chunk stage order through the generic workers, the checksum
+// and compression wire round-trip, and a seeded fault run with the full chain
+// armed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tests/co_test_util.h"
@@ -22,8 +20,6 @@
 #include "src/fault/injector.h"
 #include "src/fault/plan.h"
 #include "src/fault/schedule.h"
-#include "src/pipeline/placer.h"
-#include "src/pipeline/registry.h"
 #include "src/pipeline/stage.h"
 #include "src/sim/engine.h"
 #include "src/workloads/minikv.h"
@@ -76,36 +72,33 @@ class PipelineHarness {
   std::unique_ptr<core::Cluster> cluster_;
 };
 
-// --- Registry ----------------------------------------------------------------------
+// --- Stage lookup ------------------------------------------------------------------
 
-TEST(StageRegistryTest, BuiltinsAreRegisteredWithDeclaredInfo) {
-  StageRegistry& reg = Stages();
-  for (const char* name : {"validate", "compress", "checksum", "xor_encrypt"}) {
-    EXPECT_TRUE(reg.Contains(name)) << name;
-    const Stage::Info* info = reg.Lookup(name);
-    ASSERT_NE(info, nullptr) << name;
-    EXPECT_EQ(info->name, name);
-    std::unique_ptr<Stage> stage = reg.Create(name);
+TEST(StageLookupTest, StagesDeclareTheirInfo) {
+  for (const char* name : {"validate", "compress", "checksum"}) {
+    std::unique_ptr<Stage> stage = MakeStage(name);
     ASSERT_NE(stage, nullptr) << name;
     EXPECT_EQ(stage->info().name, name);
   }
   // Declared flags drive validation and the generic workers.
-  EXPECT_FALSE(reg.Lookup("validate")->optional);
-  EXPECT_TRUE(reg.Lookup("validate")->shared_fanout);
-  EXPECT_TRUE(reg.Lookup("compress")->optional);
-  EXPECT_TRUE(reg.Lookup("checksum")->optional);
-  EXPECT_TRUE(reg.Lookup("xor_encrypt")->optional);
-  EXPECT_GT(reg.Lookup("compress")->cycles_per_byte,
-            reg.Lookup("checksum")->cycles_per_byte);
+  EXPECT_FALSE(MakeStage("validate")->info().optional);
+  EXPECT_TRUE(MakeStage("validate")->info().shared_fanout);
+  EXPECT_TRUE(MakeStage("compress")->info().optional);
+  EXPECT_FALSE(MakeStage("compress")->info().shared_fanout);
+  EXPECT_TRUE(MakeStage("checksum")->info().optional);
+  EXPECT_FALSE(MakeStage("checksum")->info().shared_fanout);
 }
 
-TEST(StageRegistryTest, UnknownStagesAreRejectedEverywhere) {
-  EXPECT_FALSE(Stages().Contains("no_such_stage"));
-  EXPECT_EQ(Stages().Lookup("no_such_stage"), nullptr);
-  EXPECT_EQ(Stages().Create("no_such_stage"), nullptr);
+TEST(StageLookupTest, UnknownStagesAreRejectedEverywhere) {
+  for (const char* name : {"no_such_stage", "xor_encrypt"}) {
+    EXPECT_EQ(MakeStage(name), nullptr) << name;
+    DfsConfig config = TestConfig();
+    config.pipeline_stages = std::string("validate,") + name;
+    EXPECT_EQ(config.Validate().code(), ErrorCode::kInvalid) << name;
+  }
 }
 
-TEST(StageRegistryTest, ParseStageListTrimsAndKeepsEmptyItems) {
+TEST(StageLookupTest, ParseStageListTrimsAndKeepsEmptyItems) {
   std::vector<std::string> names = ParseStageList("validate, compress ,checksum");
   ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "validate");
@@ -120,7 +113,7 @@ TEST(StageRegistryTest, ParseStageListTrimsAndKeepsEmptyItems) {
 TEST(StageChainValidation, AcceptsWellFormedChains) {
   DfsConfig config = TestConfig();
   EXPECT_TRUE(config.Validate().ok()) << config.Validate().ToString();
-  config.pipeline_stages = "validate,compress,xor_encrypt,checksum";
+  config.pipeline_stages = "validate,compress,checksum";
   config.compression = true;
   EXPECT_TRUE(config.Validate().ok()) << config.Validate().ToString();
   config = TestConfig();
@@ -141,89 +134,60 @@ TEST(StageChainValidation, RejectsMalformedChains) {
   EXPECT_TRUE(invalid("compress,validate"));           // validate not first
   EXPECT_TRUE(invalid("validate,compress,compress"));  // duplicate
   EXPECT_TRUE(invalid("validate,checksum,compress"));  // checksum not last
-  EXPECT_TRUE(invalid("validate,xor_encrypt,compress"));  // LZW after cipher
   EXPECT_TRUE(invalid("validate", /*compression=*/true));  // knob without stage
 }
 
-// --- Per-chunk stage-order preservation --------------------------------------------
+// --- Per-chunk stage order ---------------------------------------------------------
 
-// Probe stages appended to the chain record the order in which each chunk
-// traverses them. Shared state is process-global because registry factories
-// are stateless.
-struct ProbeLog {
-  std::mutex mu;
-  std::vector<std::pair<std::string, uint64_t>> events;  // (stage, chunk_no)
-};
-ProbeLog& probe_log() {
-  static ProbeLog log;
-  return log;
-}
-
-class ProbeStage : public Stage {
- public:
-  explicit ProbeStage(std::string name) : name_(std::move(name)) {
-    info_.name = name_;
-    info_.optional = false;
-    info_.scalable = false;
-  }
-  const Info& info() const override { return info_; }
-  sim::Task<> Process(StageEnv& env, const Placement& where,
-                      const ChunkPtr& chunk) override {
-    (void)env;
-    (void)where;
-    std::lock_guard<std::mutex> lock(probe_log().mu);
-    probe_log().events.emplace_back(name_, chunk->no);
-    co_return;
-  }
-
- private:
-  std::string name_;
-  Info info_;
-};
-
+// Every chunk's spans on the primary show the chain order: validate nests under
+// fetch, each later stage nests under validate, and each stage starts only
+// after the previous one ended.
 TEST(StageChainTest, ChunksTraverseConfiguredStagesInOrder) {
-  for (const char* name : {"probe_a", "probe_b"}) {
-    Stage::Info info;
-    info.name = name;
-    Stages().Register(name, info,
-                      [name] { return std::make_unique<ProbeStage>(name); });
-  }
-  probe_log().events.clear();
-
   DfsConfig config = TestConfig();
-  config.pipeline_stages = "validate,probe_a,probe_b";
+  config.pipeline_stages = "validate,compress,checksum";
+  config.compression = true;
   ASSERT_TRUE(config.Validate().ok()) << config.Validate().ToString();
   PipelineHarness harness(config);
   LibFs* fs = harness.cluster_->CreateClient(0);
+  // Four 1 MB chunks stay under the bypass threshold, so no chunk skips an
+  // optional stage.
   harness.RunClient([&]() -> sim::Task<> {
     Result<int> fd = co_await fs->Open("/order.dat", fslib::kOpenCreate | fslib::kOpenWrite);
     CO_ASSERT_OK(fd);
-    CO_ASSERT_OK((co_await fs->PwriteGen(*fd, 8ULL << 20, 0, 1)));
+    CO_ASSERT_OK((co_await fs->PwriteGen(*fd, 4ULL << 20, 0, 1)));
     CO_ASSERT_OK(co_await fs->Fsync(*fd));
   });
   harness.Drain(2 * sim::kSecond);
 
-  // Every chunk that reached probe_b passed probe_a first.
-  std::map<uint64_t, std::vector<std::string>> per_chunk;
-  {
-    std::lock_guard<std::mutex> lock(probe_log().mu);
-    for (const auto& [stage, chunk_no] : probe_log().events) {
-      per_chunk[chunk_no].push_back(stage);
+  const std::vector<std::string> chain = {"fetch", "validate", "compress", "checksum"};
+  std::map<uint64_t, std::map<std::string, obs::TraceEvent>> per_chunk;
+  harness.cluster_->trace().ForEach([&](const obs::TraceEvent& e) {
+    if (e.component == "nicfs.0" && e.client == fs->client_id() &&
+        std::find(chain.begin(), chain.end(), e.stage) != chain.end()) {
+      per_chunk[e.chunk_no][e.stage] = e;
     }
-  }
-  ASSERT_FALSE(per_chunk.empty());
-  for (const auto& [chunk_no, stages] : per_chunk) {
-    ASSERT_EQ(stages.size(), 2u) << "chunk " << chunk_no;
-    EXPECT_EQ(stages[0], "probe_a") << "chunk " << chunk_no;
-    EXPECT_EQ(stages[1], "probe_b") << "chunk " << chunk_no;
+  });
+  ASSERT_GE(per_chunk.size(), 4u);
+  for (const auto& [chunk_no, spans] : per_chunk) {
+    for (const std::string& stage : chain) {
+      ASSERT_TRUE(spans.count(stage)) << "chunk " << chunk_no << " has no " << stage;
+    }
+    const obs::TraceEvent& validate = spans.at("validate");
+    EXPECT_EQ(validate.parent_span, spans.at("fetch").span_id) << "chunk " << chunk_no;
+    for (size_t i = 2; i < chain.size(); ++i) {
+      const obs::TraceEvent& prev = spans.at(chain[i - 1]);
+      const obs::TraceEvent& cur = spans.at(chain[i]);
+      EXPECT_EQ(cur.parent_span, validate.span_id) << chain[i] << " chunk " << chunk_no;
+      EXPECT_LE(prev.end, cur.begin) << chain[i] << " chunk " << chunk_no;
+    }
   }
 }
 
-// --- Plugin wire round-trip --------------------------------------------------------
+// --- Checksum and compression wire round-trip ---------------------------------------
 
-TEST(StagePluginTest, ChecksumAndCipherRoundTripThroughReplication) {
+TEST(StageWireTest, ChecksumAndCompressionRoundTripThroughReplication) {
   DfsConfig config = TestConfig();
-  config.pipeline_stages = "validate,compress,xor_encrypt,checksum";
+  config.pipeline_stages = "validate,compress,checksum";
   config.compression = true;
   ASSERT_TRUE(config.Validate().ok()) << config.Validate().ToString();
   PipelineHarness harness(config);
@@ -242,7 +206,7 @@ TEST(StagePluginTest, ChecksumAndCipherRoundTripThroughReplication) {
   });
   harness.Drain(5 * sim::kSecond);
 
-  // Both replicas verified every seal and undid the cipher + compression.
+  // Both replicas verified every seal and undid the compression.
   for (int node : {1, 2}) {
     core::NicFs::StatsSnapshot stats = harness.cluster_->nicfs(node)->stats();
     EXPECT_GT(stats.checksum_verified, 0u) << "node " << node;
@@ -256,141 +220,31 @@ TEST(StagePluginTest, ChecksumAndCipherRoundTripThroughReplication) {
   }
   // The primary ran every configured stage.
   core::NicFs::StatsSnapshot primary = harness.cluster_->nicfs(0)->stats();
-  for (const char* stage : {"validate", "compress", "xor_encrypt", "checksum"}) {
+  for (const char* stage : {"validate", "compress", "checksum"}) {
     ASSERT_TRUE(primary.stages.count(stage)) << stage;
     EXPECT_GT(primary.stages.at(stage).latency.count, 0u) << stage;
   }
 }
 
-TEST(StagePluginTest, XorCipherIsInvolutiveAndChecksumIsStable) {
+TEST(StageWireTest, ChecksumIsStable) {
   std::vector<uint8_t> data(4096);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i * 31);
   }
   std::vector<uint8_t> original = data;
   uint64_t seal = WireChecksum(data);
-  XorCipher(&data);
-  EXPECT_NE(data, original);
+  EXPECT_EQ(WireChecksum(original), seal);
+  data[100] ^= 1;
   EXPECT_NE(WireChecksum(data), seal);
-  XorCipher(&data);
-  EXPECT_EQ(data, original);
+  data[100] ^= 1;
   EXPECT_EQ(WireChecksum(data), seal);
 }
 
-// --- Placer policy and migration ---------------------------------------------------
+// --- Seeded faults with the full chain armed ----------------------------------------
 
-TEST(StagePlacerTest, ChoosesPooledRemoteNicThenHostFallback) {
-  sim::Engine engine;
-  StagePlacer::Options opts;
-  opts.pooling = true;
-  opts.nic_saturation = 0.5;
-  obs::MetricsRegistry metrics;
-  StagePlacer placer(&engine, opts, obs::MetricScope(&metrics, "placer"));
-
-  // Zero-core NIC pools are saturated by definition (busy 0 >= 0.5 * 0);
-  // a populated pool with idle cores is not.
-  sim::CpuPool::Options zero;
-  zero.cores = 0;
-  sim::CpuPool::Options idle;
-  idle.cores = 4;
-  sim::CpuPool nic0(&engine, "nic0", zero);
-  sim::CpuPool nic1(&engine, "nic1", idle);
-  sim::CpuPool host0(&engine, "host0", idle);
-  placer.AddSite({0, /*host=*/false, &nic0, 0});
-  placer.AddSite({0, /*host=*/true, &host0, 0});
-  placer.AddSite({1, /*host=*/false, &nic1, 0});
-
-  // Local NIC saturated, remote NIC has headroom: pooled remote placement.
-  const StagePlacer::Site* site = placer.ChooseSite(0);
-  ASSERT_NE(site, nullptr);
-  EXPECT_EQ(site->node, 1);
-  EXPECT_FALSE(site->host);
-
-  // With every NIC saturated, fall back to the origin's host cores.
-  sim::CpuPool nic1_sat(&engine, "nic1_sat", zero);
-  StagePlacer placer2(&engine, opts, obs::MetricScope(&metrics, "placer2"));
-  placer2.AddSite({0, /*host=*/false, &nic0, 0});
-  placer2.AddSite({0, /*host=*/true, &host0, 0});
-  placer2.AddSite({1, /*host=*/false, &nic1_sat, 0});
-  site = placer2.ChooseSite(0);
-  ASSERT_NE(site, nullptr);
-  EXPECT_TRUE(site->host);
-  EXPECT_EQ(site->node, 0);
-
-  // Pooling disabled: always local, saturated or not.
-  StagePlacer::Options local_opts;
-  local_opts.pooling = false;
-  StagePlacer placer3(&engine, local_opts, obs::MetricScope(&metrics, "placer3"));
-  placer3.AddSite({0, /*host=*/false, &nic0, 0});
-  placer3.AddSite({0, /*host=*/true, &host0, 0});
-  site = placer3.ChooseSite(0);
-  ASSERT_NE(site, nullptr);
-  EXPECT_FALSE(site->host);
-  EXPECT_EQ(site->node, 0);
-}
-
-TEST(StagePlacerTest, MigrationPreservesChunkWireOrder) {
+TEST(StageTortureTest, FullChainSurvivesSeededFaults) {
   DfsConfig config = TestConfig();
-  PipelineHarness harness(config);
-  LibFs* fs = harness.cluster_->CreateClient(0);
-  StagePlacer& placer = harness.cluster_->placer();
-  ASSERT_GT(placer.group_count(), 0u);
-  // The validate group of the pipe we just registered.
-  size_t group_id = 0;
-  for (size_t i = 0; i < placer.group_count(); ++i) {
-    if (placer.group(i).stage == "validate" && placer.group(i).node == 0) {
-      group_id = i;
-    }
-  }
-  // Node 0's host site is registered right after its NIC site.
-  const StagePlacer::Site* host_site = nullptr;
-  for (const StagePlacer::Site& s : placer.sites()) {
-    if (s.node == 0 && s.host) {
-      host_site = &s;
-    }
-  }
-  ASSERT_NE(host_site, nullptr);
-
-  harness.RunClient([&]() -> sim::Task<> {
-    Result<int> fd = co_await fs->Open("/mig.dat", fslib::kOpenCreate | fslib::kOpenWrite);
-    CO_ASSERT_OK(fd);
-    // First half with the NIC-resident worker...
-    CO_ASSERT_OK((co_await fs->PwriteGen(*fd, 8ULL << 20, 0, 3)));
-    CO_ASSERT_OK(co_await fs->Fsync(*fd));
-    // ...migrate the validate worker to the host mid-stream...
-    harness.cluster_->placer().MigrateTo(group_id, *host_site);
-    // ...second half with the relocated worker.
-    CO_ASSERT_OK((co_await fs->PwriteGen(*fd, 8ULL << 20, 8ULL << 20, 3)));
-    CO_ASSERT_OK(co_await fs->Fsync(*fd));
-  });
-  harness.Drain(3 * sim::kSecond);
-
-  obs::MetricsRegistry::Snapshot snap = harness.cluster_->metrics().TakeSnapshot();
-  EXPECT_GE(snap.counters["placer.migrations"], 1u);
-  EXPECT_GE(snap.counters["placer.placements.host"], 1u);
-
-  // Wire order survived the migration: the replicas hold the exact bytes.
-  fslib::PublicFs& replica = harness.cluster_->dfs_node(1).fs();
-  Result<fslib::InodeNum> inum = replica.LookupChild(fslib::kRootInode, "mig.dat");
-  ASSERT_TRUE(inum.ok());
-  Result<fslib::FileAttr> attr = replica.GetAttr(*inum);
-  ASSERT_TRUE(attr.ok());
-  EXPECT_EQ(attr->size, 16ULL << 20);
-  std::vector<uint8_t> expected(16ULL << 20);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    // LibFs::PwriteGen pattern: seed + (absolute_offset * 131) % 251.
-    expected[i] = static_cast<uint8_t>(3 + (i * 131) % 251);
-  }
-  std::vector<uint8_t> out(expected.size());
-  ASSERT_TRUE(replica.ReadData(*inum, 0, out).ok());
-  EXPECT_EQ(out, expected);
-}
-
-// --- Seeded faults with the plugin chain armed -------------------------------------
-
-TEST(StageTortureTest, PluginChainSurvivesSeededFaults) {
-  DfsConfig config = TestConfig();
-  config.pipeline_stages = "validate,compress,xor_encrypt,checksum";
+  config.pipeline_stages = "validate,compress,checksum";
   config.compression = true;
   config.heartbeat_interval = 200 * sim::kMillisecond;
   config.heartbeat_timeout = 300 * sim::kMillisecond;
@@ -435,7 +289,7 @@ TEST(StageTortureTest, PluginChainSurvivesSeededFaults) {
   // replicas decoded every surviving chunk without a checksum mismatch.
   harness.RunClient([&]() -> sim::Task<> {
     std::vector<uint8_t> marker(256 << 10, 0xCD);
-    Result<int> fd = co_await fs->Open("/plugin_barrier.dat",
+    Result<int> fd = co_await fs->Open("/chain_barrier.dat",
                                        fslib::kOpenCreate | fslib::kOpenWrite);
     CO_ASSERT_OK(fd);
     CO_ASSERT_OK((co_await fs->Pwrite(*fd, marker, 0)));

@@ -2,12 +2,15 @@
 // kRpcReplChunk message as its RPC attachment. Covers the replica's decode
 // drop (a bad CRC32C seal or a malformed compressed stream writes, forwards
 // and acks nothing, and a clean redelivery still lands), two deliveries of
-// the same chunk in flight at once each decoding their own bytes, and
+// the same chunk in flight at once each decoding their own bytes,
 // replica-log identity with the primary across every replicating mode, both
-// data modes and the transforming stage chain.
+// data modes and the transforming stage chain, and elided Assise replicas
+// digesting and publishing the primary's tree.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstring>
 #include <memory>
 #include <ostream>
@@ -242,23 +245,12 @@ std::string CaseName(const ::testing::TestParamInfo<IdentityCase>& info) {
   return info.param.name + (info.param.materialize ? "_Materialized" : "_Elided");
 }
 
-class ReplicaLogIdentityTest : public ::testing::TestWithParam<IdentityCase> {};
+constexpr uint64_t kIdentityDataBytes = 3ULL << 20;
 
-TEST_P(ReplicaLogIdentityTest, ReplicaLogsEqualPrimaryAfterDrain) {
-  const IdentityCase& c = GetParam();
-  DfsConfig config = BaseConfig(c.mode, c.materialize);
-  config.repl.protocol = c.protocol;
-  if (!c.stages.empty()) {
-    config.pipeline_stages = c.stages;
-    config.compression = c.stages.find("compress") != std::string::npos;
-  }
-  ASSERT_TRUE(config.Validate().ok()) << config.Validate().ToString();
-  Harness h(config);
-  LibFs* fs = h.cluster().CreateClient(0);
-
-  // Compressible but non-trivial data across several chunks, plus namespace
-  // entries whose names must survive elided mode.
-  std::vector<uint8_t> data(3ULL << 20);
+// Compressible but non-trivial data across several chunks, plus namespace
+// entries whose names must survive elided mode; then a drain.
+void RunIdentityWorkload(Harness& h, LibFs* fs) {
+  std::vector<uint8_t> data(kIdentityDataBytes);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>((i / 64) % 23 + (i % 7));
   }
@@ -274,11 +266,27 @@ TEST_P(ReplicaLogIdentityTest, ReplicaLogsEqualPrimaryAfterDrain) {
     CO_ASSERT_OK(co_await fs->Fsync(*fd2));
   });
   h.Drain(3 * sim::kSecond);
+}
+
+class ReplicaLogIdentityTest : public ::testing::TestWithParam<IdentityCase> {};
+
+TEST_P(ReplicaLogIdentityTest, ReplicaLogsEqualPrimaryAfterDrain) {
+  const IdentityCase& c = GetParam();
+  DfsConfig config = BaseConfig(c.mode, c.materialize);
+  config.repl.protocol = c.protocol;
+  if (!c.stages.empty()) {
+    config.pipeline_stages = c.stages;
+    config.compression = c.stages.find("compress") != std::string::npos;
+  }
+  ASSERT_TRUE(config.Validate().ok()) << config.Validate().ToString();
+  Harness h(config);
+  LibFs* fs = h.cluster().CreateClient(0);
+  RunIdentityWorkload(h, fs);
 
   const int client = fs->client_id();
   fslib::LogArea& primary = h.cluster().dfs_node(0).client_log(client);
   const uint64_t tail = primary.tail();
-  ASSERT_GT(tail, data.size());
+  ASSERT_GT(tail, kIdentityDataBytes);
   ASSERT_LT(tail, primary.capacity()) << "the comparison assumes the ring never wrapped";
   std::vector<uint8_t> primary_bytes;
   primary.CopyRawOut(0, tail, &primary_bytes);
@@ -294,7 +302,8 @@ TEST_P(ReplicaLogIdentityTest, ReplicaLogsEqualPrimaryAfterDrain) {
       EXPECT_TRUE(replica_bytes == primary_bytes) << "node " << node;
       continue;
     }
-    // Elided data: replicas mirror entry headers only.
+    // Elided data: replicas mirror each entry's header, plus its payload
+    // unless the entry is a ghost (a data entry whose bytes are elided).
     Result<std::vector<fslib::ParsedEntry>> entries = replica.ParseRange(0, tail);
     ASSERT_TRUE(entries.ok()) << "node " << node << ": " << entries.status().ToString();
     ASSERT_EQ(entries->size(), primary_entries->size()) << "node " << node;
@@ -304,6 +313,7 @@ TEST_P(ReplicaLogIdentityTest, ReplicaLogsEqualPrimaryAfterDrain) {
       EXPECT_EQ(got.logical_pos, want.logical_pos) << "node " << node << " entry " << i;
       EXPECT_EQ(std::memcmp(&got.header, &want.header, sizeof(got.header)), 0)
           << "node " << node << " entry " << i;
+      EXPECT_EQ(got.payload, want.payload) << "node " << node << " entry " << i;
     }
   }
   if (c.mode == DfsMode::kLineFS) {
@@ -316,7 +326,7 @@ TEST_P(ReplicaLogIdentityTest, ReplicaLogsEqualPrimaryAfterDrain) {
 }
 
 std::vector<IdentityCase> IdentityCases() {
-  const std::string all = "validate,compress,xor_encrypt,checksum";
+  const std::string all = "validate,compress,checksum";
   std::vector<IdentityCase> cases;
   for (bool materialize : {true, false}) {
     // Default chain: the untransformed chunk takes the penultimate hop's
@@ -333,6 +343,108 @@ std::vector<IdentityCase> IdentityCases() {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ReplicaLogIdentityTest, ::testing::ValuesIn(IdentityCases()),
                          CaseName);
+
+// --- Elided Assise replicas publish what the primary published -------------------
+
+// Names, types and sizes of every published entry under `ref_dir` and
+// `other_dir` agree. Elided data has no bytes to compare.
+void ExpectSameTree(fslib::PublicFs& ref, fslib::PublicFs& other, fslib::InodeNum ref_dir,
+                    fslib::InodeNum other_dir, const std::string& path, int node) {
+  auto ref_list = ref.dirs().List(ref_dir);
+  auto other_list = other.dirs().List(other_dir);
+  ASSERT_TRUE(ref_list.ok()) << path;
+  ASSERT_TRUE(other_list.ok()) << "node " << node << " " << path;
+  auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
+  std::sort(ref_list->begin(), ref_list->end(), by_name);
+  std::sort(other_list->begin(), other_list->end(), by_name);
+  std::vector<std::string> ref_names, other_names;
+  for (const auto& [name, inum] : *ref_list) ref_names.push_back(name);
+  for (const auto& [name, inum] : *other_list) other_names.push_back(name);
+  ASSERT_EQ(ref_names, other_names) << "node " << node << ": directory " << path << " differs";
+  for (size_t i = 0; i < ref_list->size(); ++i) {
+    const std::string child = path + "/" + (*ref_list)[i].first;
+    Result<fslib::FileAttr> ref_attr = ref.GetAttr((*ref_list)[i].second);
+    Result<fslib::FileAttr> other_attr = other.GetAttr((*other_list)[i].second);
+    ASSERT_TRUE(ref_attr.ok()) << child;
+    ASSERT_TRUE(other_attr.ok()) << "node " << node << " " << child;
+    EXPECT_EQ(ref_attr->type, other_attr->type) << "node " << node << " " << child;
+    EXPECT_EQ(ref_attr->size, other_attr->size) << "node " << node << " " << child;
+    if (ref_attr->type == fslib::FileType::kDirectory) {
+      ExpectSameTree(ref, other, (*ref_list)[i].second, (*other_list)[i].second, child, node);
+    }
+  }
+}
+
+class ElidedAssiseReplicaTest : public ::testing::TestWithParam<DfsMode> {
+ protected:
+  void Start(uint64_t log_size) {
+    DfsConfig config = BaseConfig(GetParam(), /*materialize=*/false);
+    config.log_size = log_size;
+    harness_ = std::make_unique<Harness>(config);
+    fs_ = harness_->cluster().CreateClient(0);
+  }
+  void ExpectReplicaTreesEqualPrimary() {
+    Cluster& cluster = harness_->cluster();
+    for (int node : {1, 2}) {
+      ExpectSameTree(cluster.dfs_node(0).fs(), cluster.dfs_node(node).fs(), fslib::kRootInode,
+                     fslib::kRootInode, "", node);
+    }
+  }
+  void ExpectEveryRangeDigested() {
+    obs::MetricsRegistry::Snapshot snap = harness_->cluster().metrics().TakeSnapshot();
+    for (int node : {1, 2}) {
+      const std::string scope = "sharedfs." + std::to_string(node) + ".";
+      EXPECT_EQ(snap.counters[scope + "replica_digest_failures"], 0u) << "node " << node;
+      EXPECT_GT(snap.counters[scope + "chunks_digested"], 0u) << "node " << node;
+    }
+  }
+  std::unique_ptr<Harness> harness_;
+  LibFs* fs_ = nullptr;
+};
+
+TEST_P(ElidedAssiseReplicaTest, ReplicaTreesEqualPrimaryAfterDrain) {
+  Start(32ULL << 20);
+  RunIdentityWorkload(*harness_, fs_);
+  ASSERT_TRUE(harness_->cluster().dfs_node(0).fs().LookupChild(fslib::kRootInode, "b.dat").ok());
+  ExpectReplicaTreesEqualPrimary();
+}
+
+TEST_P(ElidedAssiseReplicaTest, ReplicasDigestEveryRange) {
+  Start(32ULL << 20);
+  RunIdentityWorkload(*harness_, fs_);
+  ExpectEveryRangeDigested();
+}
+
+// A 2 MB log wraps several times under 12 MB of writes: each replica's log
+// must carry the wrap markers too, or digestion past the wrap point fails.
+TEST_P(ElidedAssiseReplicaTest, ReplicasDigestAcrossLogWrap) {
+  Start(2ULL << 20);
+  std::vector<uint8_t> block(256 << 10, 0x5A);
+  harness_->Run([&]() -> sim::Task<> {
+    for (int f = 0; f < 4; ++f) {
+      const std::string path = "/wrap" + std::to_string(f) + ".dat";
+      Result<int> fd = co_await fs_->Open(path, fslib::kOpenCreate | fslib::kOpenWrite);
+      CO_ASSERT_OK(fd);
+      for (uint64_t i = 0; i < 12; ++i) {
+        CO_ASSERT_OK((co_await fs_->Pwrite(*fd, block, i * block.size())));
+      }
+      CO_ASSERT_OK(co_await fs_->Fsync(*fd));
+    }
+  });
+  harness_->Drain(3 * sim::kSecond);
+  ASSERT_GT(harness_->cluster().dfs_node(0).client_log(fs_->client_id()).tail(), 3 * (2ULL << 20))
+      << "the log never wrapped";
+  ExpectEveryRangeDigested();
+  ExpectReplicaTreesEqualPrimary();
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ElidedAssiseReplicaTest,
+                         ::testing::Values(DfsMode::kAssise, DfsMode::kAssiseHyperloop),
+                         [](const ::testing::TestParamInfo<DfsMode>& info) {
+                           std::string name = DfsModeName(info.param);
+                           std::erase_if(name, [](char c) { return !std::isalnum(c); });
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace linefs::core
