@@ -6,7 +6,6 @@
 #define SRC_CORE_DFS_NODE_H_
 
 #include <cstdint>
-#include <optional>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -48,19 +47,20 @@ class DfsNode {
 
   // --- Shared plan table (NICFS -> kernel worker hand-off) ------------------
 
-  // The table owns the plan: the kernel worker may consume it after the
+  // The table shares the plan: the kernel worker may consume it after the
   // NICFS-side caller has timed out and moved on (host crash mid-RPC).
-  uint64_t StashPlan(fslib::PublishPlan plan) {
+  // TakePlan returns null once the plan was taken (or never stashed).
+  uint64_t StashPlan(std::shared_ptr<const fslib::PublishPlan> plan) {
     uint64_t id = next_plan_id_++;
     plans_.emplace(id, std::move(plan));
     return id;
   }
-  std::optional<fslib::PublishPlan> TakePlan(uint64_t id) {
+  std::shared_ptr<const fslib::PublishPlan> TakePlan(uint64_t id) {
     auto it = plans_.find(id);
     if (it == plans_.end()) {
-      return std::nullopt;
+      return nullptr;
     }
-    fslib::PublishPlan plan = std::move(it->second);
+    std::shared_ptr<const fslib::PublishPlan> plan = std::move(it->second);
     plans_.erase(it);
     return plan;
   }
@@ -94,7 +94,7 @@ class DfsNode {
   fslib::Layout layout_;
   fslib::PublicFs fs_;
   std::vector<std::unique_ptr<fslib::LogArea>> logs_;
-  std::unordered_map<uint64_t, fslib::PublishPlan> plans_;
+  std::unordered_map<uint64_t, std::shared_ptr<const fslib::PublishPlan>> plans_;
   uint64_t next_plan_id_ = 1;
   std::unordered_map<uint64_t, std::set<fslib::InodeNum>> history_;
 };

@@ -881,7 +881,8 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
   sim::Time t0 = engine_->Now();
   Status result = Status::Ok();
   if (!chunk->failed) {
-    std::vector<fslib::ParsedEntry> to_publish = chunk->entries;
+    // Publication is the entries' last reader, so coalescing works in place.
+    std::vector<fslib::ParsedEntry>& to_publish = chunk->entries;
     if (config_->coalescing) {
       metrics_.coalesce_saved_bytes->Add(fslib::CoalesceEntries(&to_publish));
     }
@@ -889,13 +890,18 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
     co_await node_->hw().nic().cpu().RunCycles(config_->fs_costs.publish_entry_cycles * n,
                                                sim::Priority::kNormal,
                                                node_->hw().nic().nicfs_account());
-    Result<fslib::PublishPlan> plan = node_->fs().PlanPublish(to_publish, *pipe->log);
-    if (!plan.ok()) {
-      result = plan.status();
+    Result<fslib::PublishPlan> planned = node_->fs().PlanPublish(to_publish, *pipe->log);
+    if (!planned.ok()) {
+      result = planned.status();
     } else {
+      // Shared with the kernel worker, which may still hold it after this
+      // side timed out; this side keeps it for the isolated copies and the
+      // commit.
+      std::shared_ptr<const fslib::PublishPlan> plan =
+          std::make_shared<const fslib::PublishPlan>(std::move(*planned));
       bool copies_done = false;
       if (!isolated_ && kworker_ != nullptr) {
-        uint64_t plan_id = node_->StashPlan(*plan);
+        uint64_t plan_id = node_->StashPlan(plan);
         Result<Ack> ack = co_await cluster_->rpc().Call<KworkerCopyReq, Ack>(
             NicInitiator(false), rdma::MemAddr{node_->id(), rdma::Space::kNicMem},
             KernelWorker::EndpointName(node_->id()), rdma::Channel::kHighTput,
@@ -906,7 +912,8 @@ sim::Task<Status> NicFs::PublishChunk(PipeBase* pipe, ChunkPtr chunk) {
           copies_done = true;
         } else {
           // Timed out or refused: drop the hand-off if unconsumed (a handler
-          // that already took it owns its copy) and go isolated (§3.5).
+          // that already took it holds its own reference) and go isolated
+          // (§3.5).
           // Concurrent publishes can time out together; count one entry.
           node_->TakePlan(plan_id);
           if (!isolated_) {

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 namespace linefs::pmem {
 
 namespace {
-
-constexpr size_t kMaxPooledSlabs = 4096;  // 8 GB worth of 2 MB slabs.
 
 // Bits [lo, hi] of one 64-bit word (0 <= lo <= hi < 64).
 uint64_t BitRange(uint64_t lo, uint64_t hi) {
@@ -49,13 +48,60 @@ uint64_t RunEnd(const uint64_t* valid, uint64_t line, uint64_t end, bool state) 
 
 }  // namespace
 
-// Process-wide recycled slabs. Benchmarks construct Regions by the hundred;
-// reusing backing pages avoids re-paying allocation + fault-in each time.
+// Process-wide recycled slabs: one LIFO list per slab index, threaded through
+// the slabs themselves, so Take and Put allocate nothing beyond growing
+// `heads_` to a new largest index.
 // Single-threaded by design (the whole simulator is).
-std::vector<std::unique_ptr<Region::Slab>>& Region::SlabPool() {
-  static std::vector<std::unique_ptr<Slab>> pool;
+class Region::SlabPool {
+ public:
+  SlabPool() = default;
+  SlabPool(const SlabPool&) = delete;
+  SlabPool& operator=(const SlabPool&) = delete;
+  ~SlabPool() {
+    for (Slab* slab : heads_) {
+      while (slab != nullptr) {
+        delete std::exchange(slab, slab->next_pooled);
+      }
+    }
+  }
+
+  // The slab most recently pooled at `index`, or null.
+  Slab* Take(uint64_t index) {
+    if (index >= heads_.size() || heads_[index] == nullptr) {
+      return nullptr;
+    }
+    Slab* slab = heads_[index];
+    heads_[index] = slab->next_pooled;
+    --count_;
+    return slab;
+  }
+
+  // Pools `slab` under `index`, or frees it if the pool is full.
+  void Put(uint64_t index, std::unique_ptr<Slab> slab) {
+    if (count_ >= kMaxPooledSlabs) {
+      return;
+    }
+    if (index >= heads_.size()) {
+      heads_.resize(index + 1, nullptr);
+    }
+    slab->next_pooled = heads_[index];
+    heads_[index] = slab.release();
+    ++count_;
+  }
+
+  size_t count() const { return count_; }
+
+ private:
+  std::vector<Slab*> heads_;  // Per slab index: its most recently pooled slab.
+  size_t count_ = 0;
+};
+
+Region::SlabPool& Region::Pool() {
+  static SlabPool pool;
   return pool;
 }
+
+size_t Region::pooled_slab_count() { return Pool().count(); }
 
 void Region::CopyRuns(const Slab& slab, uint64_t off, uint8_t* dst, uint64_t n) {
   uint64_t end = off + n;
@@ -80,10 +126,10 @@ Region::Region(uint64_t size) : size_(size) {
 }
 
 Region::~Region() {
-  std::vector<std::unique_ptr<Slab>>& pool = SlabPool();
-  for (std::unique_ptr<Slab>& slab : slabs_) {
-    if (slab && pool.size() < kMaxPooledSlabs) {
-      pool.push_back(std::move(slab));
+  SlabPool& pool = Pool();
+  for (uint64_t idx = 0; idx < slabs_.size(); ++idx) {
+    if (slabs_[idx]) {
+      pool.Put(idx, std::move(slabs_[idx]));
     }
   }
 }
@@ -92,13 +138,9 @@ Region::Slab& Region::SlabFor(uint64_t offset) {
   uint64_t idx = offset >> kSlabShift;
   assert(idx < slabs_.size());
   if (!slabs_[idx]) {
-    std::vector<std::unique_ptr<Slab>>& pool = SlabPool();
-    if (!pool.empty()) {
-      slabs_[idx] = std::move(pool.back());
-      pool.pop_back();
-    } else {
-      slabs_[idx].reset(new Slab);  // Default-init: bytes stay uninitialised.
-    }
+    Slab* pooled = Pool().Take(idx);
+    // Default-init: a fresh slab's bytes stay uninitialised.
+    slabs_[idx].reset(pooled != nullptr ? pooled : new Slab);
     std::memset(slabs_[idx]->valid, 0, sizeof(Slab::valid));
   }
   return *slabs_[idx];

@@ -11,7 +11,14 @@
 // regions only consume host memory where touched. Slabs are recycled through
 // a process-wide free pool: benchmarks construct hundreds of Regions back to
 // back, and reusing slabs avoids re-paying the mmap/munmap + page-fault cost
-// on every experiment.
+// on every experiment. The pool keeps one free list per slab index and hands
+// a slab back only at the index it last backed. A rebuilt Region with the
+// same layout then writes its sparse log headers and metadata onto the 4KB
+// pages the previous run already faulted in; a slab moved to another index
+// would land those writes on pages the process never touched, and resident
+// memory would grow run after run until every page of every slab is
+// resident. An index whose list is empty gets a new slab. The pool holds at
+// most kMaxPooledSlabs and frees what does not fit.
 //
 // Never-written bytes read as 0, but slabs are never zeroed up front. Each
 // slab carries a validity bitmap with one bit per 64-byte line (PM's own
@@ -104,6 +111,10 @@ class Region {
   // Lifetime counters (write amplification studies).
   uint64_t total_bytes_written() const { return total_bytes_written_; }
 
+  // The process-wide slab pool: how many freed slabs it holds, and its cap.
+  static constexpr size_t kMaxPooledSlabs = 4096;  // 8 GB worth of 2 MB slabs.
+  static size_t pooled_slab_count();
+
  private:
   static constexpr uint64_t kSlabShift = 21;  // 2 MB slabs.
   static constexpr uint64_t kSlabSize = 1ULL << kSlabShift;
@@ -114,9 +125,11 @@ class Region {
   // Backing bytes plus their line-validity bitmap; only lines whose bit is set
   // hold defined bytes. Allocated uninitialised, recycled through the pool.
   struct Slab {
+    Slab* next_pooled = nullptr;  // While pooled: next slab of the same index.
     uint64_t valid[kLinesPerSlab / 64];
     uint8_t bytes[kSlabSize];
   };
+  class SlabPool;
 
   // One captured write: `arena_off/len` locate the old bytes in undo_arena_.
   struct UndoEntry {
@@ -126,7 +139,7 @@ class Region {
     bool dead = false;
   };
 
-  static std::vector<std::unique_ptr<Slab>>& SlabPool();
+  static SlabPool& Pool();
   Slab& SlabFor(uint64_t offset);
   void CopyIn(uint64_t offset, const void* src, uint64_t n);
   void CopyOut(uint64_t offset, void* dst, uint64_t n) const;

@@ -244,6 +244,63 @@ TEST(Region, FillAndCopyOnFreshLines) {
   EXPECT_TRUE(AllZero(copied, 32 + 256));
 }
 
+// Writes one byte into each listed slab, then reads each of those slabs back
+// whole: everything but the written byte must read 0, whichever slab (and
+// whichever stale bytes) the pool handed out.
+void ExpectFreshSlabsReadZero(Region& region, const std::vector<uint64_t>& slabs) {
+  constexpr uint64_t kAt = 4096 + 100;
+  const uint8_t mark = 0x5C;
+  for (uint64_t idx : slabs) {
+    region.Write(idx * kSlab + kAt, &mark, 1);
+  }
+  std::vector<uint8_t> out(kSlab);
+  for (uint64_t idx : slabs) {
+    std::fill(out.begin(), out.end(), 0xFF);
+    region.Read(idx * kSlab, out.data(), out.size());
+    EXPECT_EQ(out[kAt], mark) << "slab " << idx;
+    out[kAt] = 0;
+    EXPECT_TRUE(AllZero(out)) << "slab " << idx;
+  }
+}
+
+TEST(Region, RecycledSlabsReadZeroInSmallerAndLargerRegions) {
+  DirtySlabPool(8 * kMiB);
+  {
+    Region smaller(4 * kMiB);
+    ExpectFreshSlabsReadZero(smaller, {0, 1});
+  }
+  // The larger region's far slab indices lie beyond every other region in
+  // this suite, so no slab was ever pooled there: each gets a new slab, and
+  // the slabs pooled at other indices stay where they are.
+  constexpr uint64_t kFar = 3 * Region::kMaxPooledSlabs;
+  Region larger((kFar + 2) * kSlab);
+  for (uint64_t idx : {kFar, kFar + 1}) {
+    size_t pooled = Region::pooled_slab_count();
+    ExpectFreshSlabsReadZero(larger, {idx});
+    EXPECT_EQ(Region::pooled_slab_count(), pooled) << "slab " << idx;
+  }
+  ExpectFreshSlabsReadZero(larger, {0, 1, 2, 3, 4, 5});
+}
+
+TEST(Region, SlabPoolNeverHoldsMoreThanItsCap) {
+  const uint64_t slabs = Region::kMaxPooledSlabs + 3;
+  {
+    Region region(slabs * kSlab);
+    const uint8_t b = 1;
+    for (uint64_t idx = 0; idx < slabs; ++idx) {
+      region.Write(idx * kSlab, &b, 1);
+      region.PersistAll();
+    }
+  }
+  EXPECT_EQ(Region::pooled_slab_count(), Region::kMaxPooledSlabs);
+  // A region built from the full pool reads zeros and hands every slab back.
+  {
+    Region region(8 * kMiB);
+    ExpectFreshSlabsReadZero(region, {0, 1, 2, 3});
+  }
+  EXPECT_EQ(Region::pooled_slab_count(), Region::kMaxPooledSlabs);
+}
+
 TEST(Allocator, AllocatesDistinctBlocks) {
   BlockAllocator alloc(1000, 64);
   std::vector<uint64_t> blocks;

@@ -26,6 +26,7 @@
 #include "src/core/messages.h"
 #include "src/core/nicfs.h"
 #include "src/fslib/oplog.h"
+#include "src/fslib/publicfs.h"
 #include "src/pipeline/stage.h"
 #include "src/pmem/region.h"
 
@@ -445,6 +446,101 @@ INSTANTIATE_TEST_SUITE_P(Modes, ElidedAssiseReplicaTest,
                            std::erase_if(name, [](char c) { return !std::isalnum(c); });
                            return name;
                          });
+
+// --- A LineFS elided replica log parses across a wrap -------------------------------
+
+// With elided data a LineFS replica's log holds only what the wire carried:
+// each header, the names of namespace entries and the wrap markers. Scanned
+// through RecoverScan from a head the test supplies, each replica's log must
+// reach the primary's tail, and the window it yields, digested into a standby
+// file system, must rebuild the tree the primary published. Without mirrored
+// names RecoverScan stops at the first create (payload crc mismatch); without
+// mirrored wrap markers it stops at the physical end of the ring. Replicas
+// persist no head record of their own, so this is not yet recovery after a
+// failover: the scan starts at the primary's head.
+TEST(ElidedLineFsReplicaTest, ReplicaLogParsesAcrossWrapFromKnownHead) {
+  DfsConfig config = BaseConfig(DfsMode::kLineFS, /*materialize=*/false);
+  config.log_size = 2ULL << 20;
+  Harness h(config);
+  LibFs* fs = h.cluster().CreateClient(0);
+  const int client = fs->client_id();
+  fslib::LogArea& primary = h.cluster().dfs_node(0).client_log(client);
+  std::vector<uint8_t> block(256 << 10, 0x5A);
+
+  // Phase 1 moves the log ~1.5 MB into its 2 MB ring and leaves no trace in
+  // the tree. Once drained it is published everywhere and reclaimed.
+  h.Run([&]() -> sim::Task<> {
+    Result<int> fd = co_await fs->Open("/pad.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(fd);
+    for (uint64_t i = 0; i < 6; ++i) {
+      CO_ASSERT_OK((co_await fs->Pwrite(*fd, block, i * block.size())));
+    }
+    CO_ASSERT_OK(co_await fs->Unlink("/pad.dat"));
+    CO_ASSERT_OK(co_await fs->Fsync(*fd));  // Syncs the whole log, unlink included.
+    CO_ASSERT_OK(co_await fs->Close(*fd));
+  });
+  h.Drain(3 * sim::kSecond);
+  const uint64_t window_from = primary.head();
+  ASSERT_EQ(window_from, primary.tail()) << "phase 1 was not fully reclaimed";
+
+  // Phase 2 builds the whole tree and crosses the ring's physical end.
+  h.Run([&]() -> sim::Task<> {
+    CO_ASSERT_OK(co_await fs->Mkdir("/d"));
+    Result<int> a = co_await fs->Open("/d/a.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(a);
+    CO_ASSERT_OK((co_await fs->Pwrite(*a, block, 0)));
+    CO_ASSERT_OK((co_await fs->Pwrite(*a, std::span<const uint8_t>(block).first(5000),
+                                      block.size())));
+    CO_ASSERT_OK(co_await fs->Fsync(*a));
+    Result<int> b = co_await fs->Open("/b.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(b);
+    CO_ASSERT_OK((co_await fs->Pwrite(*b, block, 0)));
+    CO_ASSERT_OK(co_await fs->Fsync(*b));
+    CO_ASSERT_OK(co_await fs->Rename("/b.dat", "/d/c.dat"));
+    Result<int> e = co_await fs->Open("/e.dat", fslib::kOpenCreate | fslib::kOpenWrite);
+    CO_ASSERT_OK(e);
+    CO_ASSERT_OK((co_await fs->Pwrite(*e, std::span<const uint8_t>(block).first(70000), 0)));
+    CO_ASSERT_OK(co_await fs->Fsync(*e));
+  });
+  h.Drain(3 * sim::kSecond);
+  const uint64_t window_to = primary.tail();
+  Result<std::vector<fslib::ParsedEntry>> with_wraps =
+      primary.ParseRange(window_from, window_to, /*keep_wraps=*/true);
+  ASSERT_TRUE(with_wraps.ok()) << with_wraps.status().ToString();
+  ASSERT_TRUE(std::any_of(with_wraps->begin(), with_wraps->end(),
+                          [](const fslib::ParsedEntry& entry) {
+                            return entry.header.type == fslib::LogOpType::kWrap;
+                          }))
+      << "the window never crossed the ring's physical end";
+
+  const fslib::Layout& layout = h.cluster().dfs_node(0).layout();
+  for (int node : {1, 2}) {
+    pmem::Region& pm = h.cluster().hw_node(node).pm();
+    // Give the replica's log the head record the primary persisted.
+    fslib::LogArea start(&pm, layout.LogOffset(client), layout.log_size,
+                         static_cast<uint32_t>(client), /*materialize=*/false);
+    start.SetTail(window_from);
+    start.Reclaim(window_from);
+    start.PersistMeta();
+    fslib::LogArea recovered(&pm, layout.LogOffset(client), layout.log_size,
+                             static_cast<uint32_t>(client), /*materialize=*/false);
+    Result<uint64_t> scanned = recovered.RecoverScan();
+    ASSERT_TRUE(scanned.ok()) << "node " << node << ": " << scanned.status().ToString();
+    EXPECT_EQ(recovered.head(), window_from) << "node " << node;
+    EXPECT_EQ(recovered.tail(), window_to) << "node " << node;
+    Result<std::vector<fslib::ParsedEntry>> entries =
+        recovered.ParseRange(recovered.head(), recovered.tail());
+    ASSERT_TRUE(entries.ok()) << "node " << node << ": " << entries.status().ToString();
+
+    pmem::Region standby_pm(config.pm_size);
+    fslib::PublicFs standby(&standby_pm, layout);
+    standby.Mkfs();
+    Status st = standby.Publish(*entries, recovered, /*materialize=*/false);
+    ASSERT_TRUE(st.ok()) << "node " << node << ": " << st.ToString();
+    ExpectSameTree(h.cluster().dfs_node(0).fs(), standby, fslib::kRootInode, fslib::kRootInode,
+                   "", node);
+  }
+}
 
 }  // namespace
 }  // namespace linefs::core
